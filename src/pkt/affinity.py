@@ -51,8 +51,11 @@ def kernel_and_conditionals(
     ``q[:, j] = k[:, j] / colsums[j]`` is the conditional distribution
     for slot j.  Shared by the loss gradient, which needs all three.
     """
-    feats = _checked_features(feats)
-    k = kernel_matrix(feats, spec)
+    return _conditionals(kernel_matrix(_checked_features(feats), spec))
+
+
+def _conditionals(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero the diagonal of the kernel matrix ``k`` in place and normalize its columns."""
     np.fill_diagonal(k, 0.0)
     colsums = k.sum(axis=0)
     if np.any(colsums < DENOM_FLOOR):

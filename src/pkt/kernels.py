@@ -82,13 +82,32 @@ def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected an N x D matrix")
+    stats = _row_stats(x, spec)
     if spec.family == COSINE:
-        u = x / _safe_norms(x)[:, None]
-        g = u @ u.T
-        g = (g + g.T) / 2.0
-        return (np.clip(g, -1.0, 1.0) + 1.0) / 2.0
-    ss = np.einsum("ij,ij->i", x, x)
-    g = x @ x.T
+        x = x / stats[:, None]
+    return _kernel_of_rows(x, stats, spec)
+
+
+def _row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The per-row statistic the kernel needs: guarded norms (cosine) or squared norms (Gaussian).
+
+    Each row is reduced on its own, so the values do not depend on which
+    other rows share the array, as long as the rows are C-contiguous.
+    """
+    if spec.family == COSINE:
+        return _safe_norms(x)
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Kernel matrix from prepared rows and their :func:`_row_stats`.
+
+    Cosine rows must already be divided by their norms; Gaussian rows are
+    the features themselves.
+    """
+    g = rows @ rows.T
     g = (g + g.T) / 2.0
-    d2 = np.clip(ss[:, None] + ss[None, :] - 2.0 * g, 0.0, None)
+    if spec.family == COSINE:
+        return (np.clip(g, -1.0, 1.0) + 1.0) / 2.0
+    d2 = np.clip(stats[:, None] + stats[None, :] - 2.0 * g, 0.0, None)
     return np.exp(-d2 / spec.width)

@@ -30,6 +30,7 @@ class StudentModel:
                 raise ValueError("weight shapes incompatible with layer_dims")
             if self.biases[i].shape != (self.layer_dims[i + 1],):
                 raise ValueError("bias shapes incompatible with layer_dims")
+        self._layer_inputs: list[np.ndarray] | None = None  # kept by forward for backward
 
     @property
     def input_dim(self) -> int:
@@ -46,43 +47,51 @@ class StudentModel:
             params.append(b)
         return params
 
-    def _forward_cache(self, batch: np.ndarray):
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """Map a B x D_in batch to B x D_out embeddings.
+
+        The input and the hidden activations are kept for the next
+        :meth:`backward`, so ``batch`` must not be modified in between.
+        """
         x = np.asarray(batch, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"input of dim {x.shape} does not match model input dim {self.input_dim}")
-        activations = [x]
-        pre = []
+        inputs = []
         out = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = out @ w + b
-            pre.append(z)
-            out = z if i == last else np.maximum(z, 0.0)
-            activations.append(out)
-        return out, activations, pre
-
-    def forward(self, batch: np.ndarray) -> np.ndarray:
-        """Map a B x D_in batch to B x D_out embeddings."""
-        out, _, _ = self._forward_cache(batch)
+            inputs.append(out)
+            out = out @ w
+            out += b
+            if i != last:
+                np.maximum(out, 0.0, out=out)
+        self._layer_inputs = inputs
         return out
 
-    def backward(self, batch: np.ndarray, grad_y: np.ndarray) -> list[np.ndarray]:
+    def backward(self, grad_y: np.ndarray) -> list[np.ndarray]:
         """Exact parameter gradients for a loss whose embedding gradient is ``grad_y``.
 
-        ``grad_y`` must correspond to a forward pass on this same batch.
-        Returns gradients in the same order as :meth:`parameters`.
+        ``grad_y`` is taken at the output of the last :meth:`forward`,
+        whose kept activations this call consumes; a backward without a
+        forward before it raises ValueError.  Returns gradients in the
+        same order as :meth:`parameters`.
         """
+        inputs = self._layer_inputs
+        if inputs is None:
+            raise ValueError("backward needs a forward pass on the batch first")
         grad_y = np.asarray(grad_y, dtype=float)
-        _, activations, pre = self._forward_cache(batch)
-        if grad_y.shape != (batch.shape[0], self.output_dim):
+        if grad_y.shape != (inputs[0].shape[0], self.output_dim):
             raise ValueError(f"grad_y shape {grad_y.shape} does not match the forward output")
+        self._layer_inputs = None
         grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
         delta = grad_y
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[2 * i] = activations[i].T @ delta
+            grads[2 * i] = inputs[i].T @ delta
             grads[2 * i + 1] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (pre[i - 1] > 0.0)
+                # a hidden input is max(z, 0), so it is positive exactly where z is
+                delta = delta @ self.weights[i].T
+                delta *= inputs[i] > 0.0
         return grads
 
 
@@ -106,6 +115,8 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    # two scratch arrays per parameter, so a step allocates nothing
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.lr <= 0 or self.eps <= 0:
@@ -119,24 +130,40 @@ def init_adam(params: list[np.ndarray], lr: float = 1e-4, beta1: float = 0.9,
     state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     state.m = [np.zeros_like(p) for p in params]
     state.v = [np.zeros_like(p) for p in params]
+    state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     return state
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> AdamState:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
-    if len(params) != len(state.m) or len(grads) != len(params):
+    """One bias-corrected Adam update, applied to ``params`` and the moments in place.
+
+    The arithmetic is ``m = beta1 m + (1 - beta1) g``,
+    ``v = beta2 v + (1 - beta2) g^2`` and
+    ``p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)``, in that order; only
+    the storage of the intermediates is reused.
+    """
+    if not len(params) == len(grads) == len(state.m) == len(state.v) == len(state.scratch):
         raise ValueError("parameter/gradient lists do not match the optimizer state")
+    if any(g.shape != p.shape for p, g in zip(params, grads)):
+        raise ValueError("gradient shape mismatch")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ValueError("gradient shape mismatch")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    for p, g, m, v, (step, den) in zip(params, grads, state.m, state.v, state.scratch):
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=step)
+        m += step
+        v *= state.beta2
+        np.multiply(g, g, out=step)
+        step *= 1.0 - state.beta2
+        v += step
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        p -= step
     return state
 
 
@@ -177,4 +204,8 @@ def load_model(path) -> StudentModel:
         weights.append(w)
         biases.append(b)
         pos += fan_in + 1
+    if any(ln.strip() for ln in lines[pos:]):
+        raise ValueError("trailing data after the last layer block")
+    if not all(np.all(np.isfinite(a)) for a in weights + biases):
+        raise ValueError("model file contains non-finite weights")
     return StudentModel(dims, weights, biases)

@@ -1,10 +1,14 @@
 """The transfer training loop: per-epoch shuffling, per-batch teacher
 and student conditional matrices, analytic gradient, backprop, Adam.
 
-Teacher conditionals are rebuilt from the stored teacher features for
-every batch rather than precomputed globally, keeping memory at O(B^2)
-and matching the batch-wise estimation of the full similarity
-structure.  Class labels are only touched when ``sup_weight > 0``.
+The teacher features are checked and reduced to one statistic per row
+(its norm for the cosine kernel, its squared norm for the Gaussian) once
+per run.  Each batch then gathers its B teacher rows and builds their
+conditionals from those statistics, so training holds O(N) statistics
+plus O(B*D) rows and O(B^2) matrices per batch, never a second N x D copy
+of the teacher, and matches the batch-wise estimation of the full
+similarity structure.  Class labels are only touched when
+``sup_weight > 0``.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import conditional_probabilities, sample_batch
+from .affinity import _conditionals, sample_batch
+from .affinity import conditional_probabilities  # noqa: F401  (perfbench's tests read it from this module)
 from .divergence import pkt_loss_and_grad, supervised_targets
-from .kernels import KernelSpec, cosine_kernel
+from .kernels import COSINE, KernelSpec, _kernel_of_rows, _row_stats, cosine_kernel
 from .student import StudentModel, adam_step, init_adam
 
 log = logging.getLogger(__name__)
@@ -51,6 +56,32 @@ class TraceEntry:
     loss: float
 
 
+def _teacher_row_stats(teacher: np.ndarray, spec: KernelSpec, block: int) -> np.ndarray:
+    """Check the teacher for non-finite entries and reduce each row to its kernel statistic.
+
+    Rows are taken ``block`` at a time as C-contiguous arrays, the layout
+    a batch's gathered rows have, so every statistic is bit-identical to
+    the one the batch itself would compute, and no N x D temporary exists.
+    """
+    stats = np.empty(teacher.shape[0])
+    for start in range(0, teacher.shape[0], block):
+        rows = np.ascontiguousarray(teacher[start : start + block])
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("teacher features contain non-finite entries")
+        stats[start : start + block] = _row_stats(rows, spec)
+    return stats
+
+
+def _teacher_conditionals(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray,
+                          spec: KernelSpec) -> np.ndarray:
+    """``conditional_probabilities(teacher[idx], spec)``, from the cached row statistics."""
+    rows, batch_stats = teacher[idx], stats[idx]
+    if spec.family == COSINE:
+        rows /= batch_stats[:, None]
+    _, _, p = _conditionals(_kernel_of_rows(rows, batch_stats, spec))
+    return p
+
+
 def train(
     model: StudentModel,
     raw_inputs: np.ndarray,
@@ -58,11 +89,17 @@ def train(
     labels=None,
     cfg: TrainConfig | None = None,
 ) -> tuple[StudentModel, list[TraceEntry]]:
-    """Fit the student to the teacher's conditional structure; returns the per-batch loss trace."""
+    """Fit the student to the teacher's conditional structure; returns the per-batch loss trace.
+
+    A ValueError raised inside a batch is re-raised with the epoch and
+    batch in its message, chained from the original.
+    """
     cfg = cfg if cfg is not None else TrainConfig()
     raw_inputs = np.asarray(raw_inputs, dtype=float)
     teacher_feats = np.asarray(teacher_feats, dtype=float)
     n = raw_inputs.shape[0]
+    if teacher_feats.ndim != 2:
+        raise ValueError("teacher features must be an N x D matrix")
     if teacher_feats.shape[0] != n:
         raise ValueError("raw inputs and teacher features must have equal row counts")
     if cfg.sup_weight > 0:
@@ -71,22 +108,24 @@ def train(
         labels = np.asarray(labels)
         if labels.shape[0] != n:
             raise ValueError("label count does not match the inputs")
+    teacher_stats = _teacher_row_stats(teacher_feats, cfg.teacher_spec, cfg.batch_size)
 
     state = init_adam(model.parameters(), lr=cfg.lr)
     trace: list[TraceEntry] = []
     for epoch in range(cfg.epochs):
         chunks = sample_batch(n, cfg.batch_size, cfg.seed, epoch)
         for b, idx in enumerate(chunks):
-            p = conditional_probabilities(teacher_feats[idx], cfg.teacher_spec)
-            x = raw_inputs[idx]
-            y = model.forward(x)
-            sup = None
-            if cfg.sup_weight > 0:
-                targets, _ = supervised_targets(labels[idx])
-                sup = (targets, cfg.sup_weight)
-            report = pkt_loss_and_grad(y, p, cfg.student_spec, sup)
-            grads = model.backward(x, report.grad_y)
-            adam_step(state, model.parameters(), grads)
+            try:
+                p = _teacher_conditionals(teacher_feats, teacher_stats, idx, cfg.teacher_spec)
+                y = model.forward(raw_inputs[idx])
+                sup = None
+                if cfg.sup_weight > 0:
+                    targets, _ = supervised_targets(labels[idx])
+                    sup = (targets, cfg.sup_weight)
+                report = pkt_loss_and_grad(y, p, cfg.student_spec, sup)
+                adam_step(state, model.parameters(), model.backward(report.grad_y))
+            except ValueError as exc:
+                raise ValueError(f"epoch {epoch} batch {b}: {exc}") from exc
             trace.append(TraceEntry(epoch=epoch, batch=b, loss=report.value))
             if cfg.log_every > 0 and len(trace) % cfg.log_every == 0:
                 log.info("%d %d %.17g", epoch, b, report.value)

@@ -87,7 +87,8 @@ def test_backward_matches_finite_differences():
         (lambda y: float(np.sum(c * y)), c),
         (lambda y: 0.5 * float(np.sum(y * y)), model.forward(x)),
     ):
-        analytic = model.backward(x, grad_y)
+        model.forward(x)
+        analytic = model.backward(grad_y)
         numeric = fd_param_grads(model, x, loss_fn)
         for a, n in zip(analytic, numeric):
             assert max_relative_error(a, n) < 1e-6
@@ -96,10 +97,24 @@ def test_backward_matches_finite_differences():
 def test_backward_shape_validation():
     model = init_student([3, 4, 2], seed=0)
     x = np.zeros((5, 3))
+    model.forward(x)
     with pytest.raises(ValueError):
-        model.backward(x, np.zeros((5, 3)))
+        model.backward(np.zeros((5, 3)))
     with pytest.raises(ValueError):
         model.forward(np.zeros((5, 4)))
+
+
+def test_backward_consumes_its_forward():
+    model = init_student([3, 4, 2], seed=0)
+    with pytest.raises(ValueError, match="forward"):
+        model.backward(np.zeros((5, 2)))
+    model.forward(np.ones((5, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        model.backward(np.zeros((4, 2)))
+    grads = model.backward(np.ones((5, 2)))
+    assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+    with pytest.raises(ValueError, match="forward"):
+        model.backward(np.ones((5, 2)))
 
 
 def test_model_validation():
@@ -141,6 +156,35 @@ def test_adam_descends_on_quadratic():
         adam_step(state, [w], [2.0 * w])
     assert 0.0 < w[0] < 1.0 - 50 * state.lr
     assert state.step == 100
+
+
+def reference_adam_step(state, params, grads):
+    # the out-of-place update the in-place one must reproduce bit for bit
+    state.step += 1
+    c1 = 1.0 - state.beta1 ** state.step
+    c2 = 1.0 - state.beta2 ** state.step
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        m_hat = state.m[i] / c1
+        v_hat = state.v[i] / c2
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def test_adam_in_place_matches_reference_bitwise():
+    rng = np.random.default_rng(31)
+    shapes = [(7, 5), (5,), (5, 3), (3,), (1, 1)]
+    params = [rng.normal(size=s) for s in shapes]
+    ref_params = [p.copy() for p in params]
+    state = init_adam(params, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+    ref_state = init_adam(ref_params, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+    for _ in range(8):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        adam_step(state, params, grads)
+        reference_adam_step(ref_state, ref_params, grads)
+        for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
+            assert got.tobytes() == want.tobytes()
+    assert state.step == ref_state.step == 8
 
 
 def test_adam_validation():
@@ -188,3 +232,23 @@ def test_load_rejects_malformed_files(tmp_path):
     bad.write_text(lines[0] + "\ndims 2\n")
     with pytest.raises(ValueError):
         load_model(bad)
+
+
+def test_load_rejects_trailing_data_and_non_finite_weights(tmp_path):
+    good = tmp_path / "good.txt"
+    save_model(init_student([2, 3], seed=0), good)
+    lines = good.read_text().splitlines()
+    bad = tmp_path / "bad.txt"
+
+    bad.write_text("\n".join(lines + ["1 2 3"]) + "\n")
+    with pytest.raises(ValueError, match="trailing"):
+        load_model(bad)
+    for value in ("nan", "inf", "-inf"):
+        row = lines[2].split()
+        row[1] = value
+        bad.write_text("\n".join(lines[:2] + [" ".join(row)] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_model(bad)
+    # blank lines after the last layer are not data
+    bad.write_text("\n".join(lines) + "\n\n")
+    assert load_model(bad).layer_dims == [2, 3]

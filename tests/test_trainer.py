@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pkt import (
     StudentModel,
     TrainConfig,
+    conditional_probabilities,
     cosine_kernel,
     gaussian_kernel,
     init_student,
     sample_batch,
     train,
 )
+from pkt.trainer import _teacher_conditionals, _teacher_row_stats
 
 
 def small_problem(seed=0, n=100, d_in=6, d_t=5):
@@ -107,3 +111,64 @@ def test_default_config_used_when_omitted():
     # one epoch at the default batch size of 128 gives a 128-chunk; the
     # 2-sample tail is kept
     assert [e.batch for e in trace] == [0, 1]
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(3.0)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cached_teacher_conditionals_match_public_ones(spec, order):
+    # row statistics computed once per run must give the very bits the
+    # public function computes from the gathered batch
+    _, teacher, _ = small_problem(n=50, d_t=7)
+    teacher = np.asarray(teacher, order=order)
+    stats = _teacher_row_stats(teacher, spec, block=16)
+    for idx in sample_batch(50, 16, 0, 0):
+        cached = _teacher_conditionals(teacher, stats, idx, spec)
+        assert cached.tobytes() == conditional_probabilities(teacher[idx], spec).tobytes()
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(3.0)])
+def test_train_leaves_inputs_untouched(spec):
+    raw, teacher, labels = small_problem(n=60)
+    raw_bytes, teacher_bytes = raw.tobytes(), teacher.tobytes()
+    cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3, seed=4, teacher_spec=spec,
+                      student_spec=spec, sup_weight=0.2)
+    train(init_student([6, 4], seed=0), raw, teacher, labels, cfg)
+    assert raw.tobytes() == raw_bytes and teacher.tobytes() == teacher_bytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_teacher_rejected_before_any_step(bad):
+    raw, teacher, _ = small_problem(n=60)
+    teacher[-1, 2] = bad  # a row that no early batch needs
+    model = init_student([6, 4], seed=0)
+    before = [p.copy() for p in model.parameters()]
+    with pytest.raises(ValueError, match="non-finite"):
+        train(model, raw, teacher, cfg=TrainConfig(epochs=2, batch_size=10, lr=1e-2))
+    assert all(np.array_equal(p, b) for p, b in zip(model.parameters(), before))
+
+
+def test_failing_batch_names_epoch_and_batch():
+    # a huge step throws the Gaussian student embeddings apart until a
+    # slot has no kernel mass left
+    rng = np.random.default_rng(0)
+    raw, teacher = rng.normal(size=(256, 8)), rng.normal(size=(256, 8))
+    cfg = TrainConfig(epochs=3, batch_size=64, lr=1e3, seed=0,
+                      teacher_spec=gaussian_kernel(1.0), student_spec=gaussian_kernel(1.0))
+    with pytest.raises(ValueError, match=r"^epoch 0 batch 1: degenerate geometry") as info:
+        train(init_student([8, 16, 4], seed=0), raw, teacher, cfg=cfg)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "epoch" not in str(info.value.__cause__)
+
+
+def test_training_holds_no_copy_of_the_teacher():
+    rng = np.random.default_rng(2)
+    raw = rng.normal(size=(2000, 8))
+    teacher = rng.normal(size=(2000, 1024))
+    model = init_student([8, 4], seed=0)
+    tracemalloc.start()
+    try:
+        train(model, raw, teacher, cfg=TrainConfig(epochs=1, batch_size=64, lr=1e-3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < teacher.nbytes / 4
