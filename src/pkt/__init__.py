@@ -52,12 +52,13 @@ from .student import (
     load_model,
     save_model,
 )
-from .trainer import TraceEntry, TrainConfig, train
+from .trainer import BatchFailure, TraceEntry, TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
+    "BatchFailure",
     "COSINE",
     "EqualityReport",
     "GAUSSIAN",

@@ -20,7 +20,7 @@ from .kernels import COSINE, GAUSSIAN, KernelSpec, cosine_kernel, gaussian_kerne
 from .qmi import information_potentials
 from .retrieval import RetrievalIndex, evaluate
 from .student import StudentModel, init_student, load_model, save_model
-from .trainer import TrainConfig, train
+from .trainer import BatchFailure, TrainConfig, train
 
 log = logging.getLogger(__name__)
 
@@ -79,13 +79,22 @@ def cmd_transfer(args) -> int:
         log_every=args.log_every,
     )
     model = init_student([raw.shape[1]] + arch, seed=args.seed)
-    model, trace = train(model, raw, teacher, labels, cfg)
+    try:
+        model, trace = train(model, raw, teacher, labels, cfg)
+    except BatchFailure as exc:
+        # keep the losses of the batches that finished; no model is written
+        _write_loss_log(args.loss_log, exc.trace)
+        raise
     save_model(model, args.out)
-    if args.loss_log:
-        with open(args.loss_log, "w") as fh:
+    _write_loss_log(args.loss_log, trace)
+    return 0
+
+
+def _write_loss_log(path: str | None, trace) -> None:
+    if path:
+        with open(path, "w") as fh:
             for entry in trace:
                 fh.write(f"{entry.epoch} {entry.batch} {entry.loss:.17g}\n")
-    return 0
 
 
 def cmd_embed(args) -> int:

@@ -79,13 +79,22 @@ def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     with its transpose before any nonlinearity, so entry (i, j) and
     entry (j, i) go through identical arithmetic.
     """
+    rows, stats = _prepared_rows(x, spec)
+    return _kernel_of_rows(rows, stats, spec)
+
+
+def _prepared_rows(x: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a float N x D matrix ready for the kernel cores, and its :func:`_row_stats`.
+
+    Cosine rows come back divided by their guarded norms.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected an N x D matrix")
     stats = _row_stats(x, spec)
     if spec.family == COSINE:
         x = x / stats[:, None]
-    return _kernel_of_rows(x, stats, spec)
+    return x, stats
 
 
 def _row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -107,7 +116,24 @@ def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec) -> np
     """
     g = rows @ rows.T
     g = (g + g.T) / 2.0
+    return _kernel_of_gram(g, stats, stats, spec)
+
+
+def _upper_block(rows: np.ndarray, stats: np.ndarray, lo: int, hi: int, spec: KernelSpec) -> np.ndarray:
+    """``K[lo:hi, lo:]`` of prepared rows and their :func:`_row_stats`.
+
+    Consecutive row ranges ``[lo, hi)`` give blocks that cover the upper
+    triangle of the kernel matrix K, each in O((hi - lo) * N) memory: a
+    pair (i, j) with i < j in different ranges appears once, outside the
+    square sub-block ``K[lo:hi, lo:hi]``; pairs within one range and the
+    self-pairs appear in that square sub-block, which is not symmetrized.
+    """
+    return _kernel_of_gram(rows[lo:hi] @ rows[lo:].T, stats[lo:hi], stats[lo:], spec)
+
+
+def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Kernel values from the Gram product ``g = a @ b.T`` of prepared rows and their statistics."""
     if spec.family == COSINE:
         return (np.clip(g, -1.0, 1.0) + 1.0) / 2.0
-    d2 = np.clip(stats[:, None] + stats[None, :] - 2.0 * g, 0.0, None)
+    d2 = np.clip(stats_a[:, None] + stats_b[None, :] - 2.0 * g, 0.0, None)
     return np.exp(-d2 / spec.width)

@@ -4,6 +4,13 @@ decomposed into information potentials.
 Unlike the conditional-probability machinery, the potential sums run
 over **all** pairs, self-pairs included; the two conventions differ and
 both are deliberate.
+
+No function here builds the N x N kernel matrix.  Cosine potentials
+come in closed form from the class sums of the unit rows, in O(N*D)
+memory; Gaussian potentials and the equality check sum exact kernel
+values over the upper triangle one block of ``BLOCK`` rows at a
+time, in O(BLOCK*N) memory.  C classes add at most the O(C*D) class
+sums of the cosine form.
 """
 
 from __future__ import annotations
@@ -12,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import COSINE, KernelSpec, _prepared_rows, _upper_block
+
+# Rows per block of the blocked kernel sums: a block holds at most BLOCK x N kernel values.
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -51,23 +61,43 @@ def information_potentials(feats: np.ndarray, labels, spec: KernelSpec) -> Poten
         raise ValueError("label list length does not match the feature matrix")
 
     n = feats.shape[0]
-    k = kernel_matrix(feats, spec)
-    total = k.sum()
+    _, classes = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(classes)
+    in_class, class_rows = _class_sums(feats, classes, sizes, spec)
+    prior = sizes / n
 
-    v_in = 0.0
-    v_btw = 0.0
-    prior_sq = 0.0
-    for lab in np.unique(labels):
-        idx = np.where(labels == lab)[0]
-        prior = idx.size / n
-        v_in += k[np.ix_(idx, idx)].sum()
-        v_btw += prior * k[idx, :].sum()
-        prior_sq += prior * prior
-
-    v_in /= n * n
-    v_btw /= n * n
-    v_all = prior_sq * total / (n * n)
+    v_in = in_class / (n * n)
+    v_all = float(prior @ prior) * float(class_rows.sum()) / (n * n)
+    v_btw = float(prior @ class_rows) / (n * n)
     return PotentialSet(v_in=v_in, v_all=v_all, v_btw=v_btw, qmi=v_in + v_all - 2.0 * v_btw)
+
+
+def _class_sums(feats: np.ndarray, classes: np.ndarray, sizes: np.ndarray, spec: KernelSpec):
+    """The within-class kernel sum, and per class p the sum of ``K(x_j, x_k)`` over j in p and all k.
+
+    ``classes`` holds each row's class index and ``sizes`` the class sizes
+    J_p.  Cosine uses the closed form over unit rows u, with class sums
+    s_p = sum_{j in p} u_j and their total s:
+    sum_{k,l in p} (u_k . u_l + 1) / 2 = (s_p . s_p + J_p^2) / 2 and
+    sum_{j in p, k} (u_j . u_k + 1) / 2 = (s_p . s + J_p N) / 2.
+    """
+    rows, stats = _prepared_rows(feats, spec)
+    n = rows.shape[0]
+    if spec.family == COSINE:
+        order = np.argsort(classes, kind="stable")
+        sums = np.add.reduceat(rows[order], np.cumsum(sizes) - sizes, axis=0)
+        in_class = float(np.sum((np.einsum("ij,ij->i", sums, sums) + sizes * sizes) / 2.0))
+        return in_class, (sums @ sums.sum(axis=0) + sizes * n) / 2.0
+    in_class = 0.0
+    row_sums = np.zeros(n)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        k = _upper_block(rows, stats, lo, hi, spec)
+        row_sums[lo:hi] += k.sum(axis=1)
+        row_sums[hi:] += k[:, hi - lo :].sum(axis=0)
+        k *= classes[lo:hi, None] == classes[None, lo:]
+        in_class += float(k[:, : hi - lo].sum()) + 2.0 * float(k[:, hi - lo :].sum())
+    return in_class, np.bincount(classes, weights=row_sums)
 
 
 def potential_equality_check(
@@ -77,7 +107,7 @@ def potential_equality_check(
     spec_s: KernelSpec,
     tol: float,
 ) -> EqualityReport:
-    """Max over all pairs of ``|K_t(x_i, x_j) - K_s(y_i, y_j)|``.
+    """Max over all pairs of ``|K_t(x_i, x_j) - K_s(y_i, y_j)|``, in O(BLOCK*N) memory.
 
     When the deviation stays within ``tol``, every information potential
     of the two embeddings agrees within ``tol`` as well for any labeling
@@ -88,6 +118,14 @@ def potential_equality_check(
     student = np.asarray(student, dtype=float)
     if teacher.shape[0] != student.shape[0]:
         raise ValueError("teacher and student must embed the same samples")
-    dev = np.abs(kernel_matrix(teacher, spec_t) - kernel_matrix(student, spec_s))
-    max_dev = float(dev.max())
+    if teacher.shape[0] == 0:
+        raise ValueError("no samples to compare")
+    t_rows, t_stats = _prepared_rows(teacher, spec_t)
+    s_rows, s_stats = _prepared_rows(student, spec_s)
+    worst = 0.0
+    for lo in range(0, teacher.shape[0], BLOCK):
+        dev = _upper_block(t_rows, t_stats, lo, lo + BLOCK, spec_t)
+        dev -= _upper_block(s_rows, s_stats, lo, lo + BLOCK, spec_s)
+        worst = np.maximum(worst, np.abs(dev, out=dev).max())  # np.maximum keeps a NaN
+    max_dev = float(worst)
     return EqualityReport(max_deviation=max_dev, within_tol=max_dev <= tol, tol=tol)

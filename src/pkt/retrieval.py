@@ -4,6 +4,12 @@ interpolated average precision, and top-k precision.
 Relevance is exact label equality.  Queries with no relevant database
 item have undefined AP; they are excluded from every mean and counted
 in the result.
+
+``evaluate`` normalizes the database and the queries once and ranks
+``QUERY_BLOCK`` queries per matrix product, so it needs
+O(QUERY_BLOCK * N) memory for N database rows, never a queries x N
+matrix.  ``rank`` and ``average_precision_11pt`` are the one-query case
+of the same code.
 """
 
 from __future__ import annotations
@@ -13,9 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NORM_EPS
+from .kernels import _safe_norms
 
 log = logging.getLogger(__name__)
+
+# Queries ranked per matrix product: each holds QUERY_BLOCK x N entries.
+QUERY_BLOCK = 64
 
 
 @dataclass
@@ -40,16 +49,61 @@ class RetrievalResult:
     n_skipped: int
 
 
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / _safe_norms(x)[:, None]
+
+
+def _rank_rows(db_unit: np.ndarray, queries_unit: np.ndarray) -> np.ndarray:
+    """Per query row, database indices by descending cosine; ties broken by ascending index.
+
+    The fast unstable sort decides every row whose sorted keys strictly
+    increase, since that order is the only one.  A row with a tie, a
+    signed zero pair or a NaN is sorted again stably.
+    """
+    keys = queries_unit @ db_unit.T
+    np.negative(keys, out=keys)
+    order = np.argsort(keys, axis=1)
+    ranked = np.take_along_axis(keys, order, axis=1)
+    unsure = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
+    if unsure.any():
+        order[unsure] = np.argsort(keys[unsure], axis=1, kind="stable")
+    return order
+
+
 def rank(index: RetrievalIndex, query: np.ndarray) -> np.ndarray:
     """Database indices by descending cosine similarity; ties broken by ascending index."""
     query = np.asarray(query, dtype=float)
     if query.shape != (index.db_feats.shape[1],):
         raise ValueError(f"query dim {query.shape} does not match database dim {index.db_feats.shape[1]}")
-    db = index.db_feats
-    norms = np.maximum(np.linalg.norm(db, axis=1), NORM_EPS)
-    qn = max(np.linalg.norm(query), NORM_EPS)
-    sims = (db @ query) / (norms * qn)
-    return np.argsort(-sims, kind="stable")
+    return _rank_rows(_unit_rows(index.db_feats), _unit_rows(query[None, :]))[0]
+
+
+def _ap_11pt_rows(rel: np.ndarray, n_rel: np.ndarray) -> np.ndarray:
+    """:func:`average_precision_11pt` of each row of a ranked relevance matrix.
+
+    Only the hits matter.  The cutoffs reaching a recall level are those
+    from the k-th hit on, for the least k with ``10 * k >= level * n_rel``,
+    and between hits precision only falls, so the best precision over
+    them is the suffix maximum of ``k / rank of the k-th hit`` taken
+    from that k; a level whose k exceeds the row's hit count is never
+    reached and adds 0.
+    """
+    rows, cols = np.nonzero(rel)
+    n_hits = np.bincount(rows, minlength=rel.shape[0])
+    width = int(n_hits.max(initial=0))
+    total = np.zeros(rel.shape[0])
+    if width == 0:
+        return total
+    nth_hit = np.arange(1, rows.size + 1) - (np.cumsum(n_hits) - n_hits)[rows]
+    best = np.zeros((rel.shape[0], width))
+    best[rows, nth_hit - 1] = nth_hit / (cols + 1)
+    best = np.maximum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
+    first = np.searchsorted(10 * np.arange(1, width + 1), np.arange(11) * n_rel[:, None])
+    at_first = np.take_along_axis(best, np.minimum(first, width - 1), axis=1)
+    at_first[first >= n_hits[:, None]] = 0.0  # levels never reached
+    for level in range(11):  # sequential, in level order
+        total += at_first[:, level]
+    return total / 11.0
 
 
 def average_precision_11pt(ranked_relevance, n_relevant_total: int) -> float:
@@ -63,17 +117,9 @@ def average_precision_11pt(ranked_relevance, n_relevant_total: int) -> float:
     rel = np.asarray(ranked_relevance, dtype=bool)
     if n_relevant_total < 1:
         raise ValueError("n_relevant_total must be at least 1")
-    hits = np.cumsum(rel)
-    n_hits = int(hits[-1]) if rel.size else 0
-    if n_hits > n_relevant_total:
+    if np.count_nonzero(rel) > n_relevant_total:
         raise ValueError("relevance list contains more hits than n_relevant_total")
-    precision = hits / np.arange(1, rel.size + 1)
-    total = 0.0
-    for level in range(11):
-        reached = 10 * hits >= level * n_relevant_total
-        if np.any(reached):
-            total += float(precision[reached].max())
-    return total / 11.0
+    return float(_ap_11pt_rows(rel[None, :], np.array([n_relevant_total]))[0])
 
 
 def top_k_precision(ranked_relevance, k: int) -> float:
@@ -98,23 +144,31 @@ def evaluate(
         raise ValueError("query set is empty")
     if query_labels.shape[0] != queries.shape[0]:
         raise ValueError("query label count does not match the queries")
+    if queries.shape[1] != index.db_feats.shape[1]:
+        raise ValueError(f"query dim {queries.shape[1]} does not match database dim {index.db_feats.shape[1]}")
     for k in ks:
         if k < 1 or k > index.db_feats.shape[0]:
             raise ValueError(f"top-k value {k} out of range for database of {index.db_feats.shape[0]}")
 
+    db_unit = _unit_rows(index.db_feats)
+    queries_unit = _unit_rows(queries)
     aps: list[float] = []
     topk_sums = {k: 0.0 for k in ks}
     n_skipped = 0
-    for q, lab in zip(queries, query_labels):
-        n_rel = int(np.sum(index.db_labels == lab))
-        if n_rel == 0:
-            n_skipped += 1
+    for lo in range(0, queries.shape[0], QUERY_BLOCK):
+        labels = query_labels[lo : lo + QUERY_BLOCK, None]
+        relevant = index.db_labels == labels
+        n_rel = np.count_nonzero(relevant, axis=1)
+        kept = n_rel > 0
+        n_skipped += int(np.count_nonzero(~kept))
+        if not kept.any():
             continue
-        order = rank(index, q)
-        rel = index.db_labels[order] == lab
-        aps.append(average_precision_11pt(rel, n_rel))
+        order = _rank_rows(db_unit, queries_unit[lo : lo + QUERY_BLOCK][kept])
+        rel = np.take_along_axis(relevant[kept], order, axis=1)
+        aps.extend(_ap_11pt_rows(rel, n_rel[kept]).tolist())
         for k in ks:
-            topk_sums[k] += top_k_precision(rel, k)
+            for precision in (np.count_nonzero(rel[:, :k], axis=1) / k).tolist():  # query order
+                topk_sums[k] += precision
 
     if not aps:
         log.error("every query was skipped: no query label occurs in the database")

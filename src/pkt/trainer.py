@@ -56,6 +56,17 @@ class TraceEntry:
     loss: float
 
 
+class BatchFailure(ValueError):
+    """A ValueError raised inside a training batch, re-raised with its epoch and batch.
+
+    ``trace`` holds the entries of the batches that finished before it.
+    """
+
+    def __init__(self, message: str, trace: list[TraceEntry]):
+        super().__init__(message)
+        self.trace = trace
+
+
 def _teacher_row_stats(teacher: np.ndarray, spec: KernelSpec, block: int) -> np.ndarray:
     """Check the teacher for non-finite entries and reduce each row to its kernel statistic.
 
@@ -91,8 +102,9 @@ def train(
 ) -> tuple[StudentModel, list[TraceEntry]]:
     """Fit the student to the teacher's conditional structure; returns the per-batch loss trace.
 
-    A ValueError raised inside a batch is re-raised with the epoch and
-    batch in its message, chained from the original.
+    A ValueError raised inside a batch is re-raised as :class:`BatchFailure`
+    with the epoch and batch in its message and the trace so far, chained
+    from the original.
     """
     cfg = cfg if cfg is not None else TrainConfig()
     raw_inputs = np.asarray(raw_inputs, dtype=float)
@@ -125,7 +137,7 @@ def train(
                 report = pkt_loss_and_grad(y, p, cfg.student_spec, sup)
                 adam_step(state, model.parameters(), model.backward(report.grad_y))
             except ValueError as exc:
-                raise ValueError(f"epoch {epoch} batch {b}: {exc}") from exc
+                raise BatchFailure(f"epoch {epoch} batch {b}: {exc}", trace) from exc
             trace.append(TraceEntry(epoch=epoch, batch=b, loss=report.value))
             if cfg.log_every > 0 and len(trace) % cfg.log_every == 0:
                 log.info("%d %d %.17g", epoch, b, report.value)

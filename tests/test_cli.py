@@ -164,3 +164,20 @@ def test_bad_log_level_rejected(monkeypatch, capsys):
     rc = main(["gradcheck", "--n", "4", "--dim", "2"])
     assert rc == 1
     assert "PKT_LOG" in capsys.readouterr().err
+
+
+def test_failing_transfer_keeps_finished_batches_and_writes_no_model(tmp_path, capsys):
+    # the huge step throws the Gaussian student embeddings apart during batch 1
+    rng = np.random.default_rng(0)
+    write_features(tmp_path / "raw.txt", rng.normal(size=(256, 8)))
+    write_features(tmp_path / "teacher.txt", rng.normal(size=(256, 8)))
+    rc = main(["transfer", "--input", str(tmp_path / "raw.txt"), "--teacher", str(tmp_path / "teacher.txt"),
+               "--arch", "16,4", "--epochs", "3", "--batch-size", "64", "--lr", "1e3",
+               "--kernel", "gaussian", "--sigma-t", "1", "--sigma-s", "1",
+               "--out", str(tmp_path / "model.txt"), "--loss-log", str(tmp_path / "loss.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("pkt: epoch 0 batch 1: degenerate geometry")
+    assert not (tmp_path / "model.txt").exists()
+    lines = (tmp_path / "loss.txt").read_text().splitlines()
+    assert [line.split()[:2] for line in lines] == [["0", "0"]]
+    assert np.isfinite(float(lines[0].split()[2]))

@@ -15,7 +15,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from pkt import TrainConfig, cosine_kernel, gaussian_kernel, init_student, train, write_features, write_labels
+from pkt import (TrainConfig, cosine_kernel, gaussian_kernel, init_student, save_model, train, write_features,
+                 write_labels)
 from pkt.cli import main
 
 CASES = {
@@ -64,3 +65,66 @@ def golden_digest(case, tmp_path):
 @pytest.mark.parametrize("case", list(CASES))
 def test_golden_training_digest(case, tmp_path):
     assert golden_digest(case, tmp_path) == GOLDEN[case]
+
+
+# The analysis commands on a 300-row database and 90 queries: both sizes
+# span several row blocks of the blocked kernel sums and ranking.
+ANALYSIS_GOLDEN = {
+    "embed": "ae0be527de7f2594fe8aebe6304dc80b5c11878c79083fbdd759c9995a27466f",
+    "eval": "da20630335b33dad5aa40238e01b2950a9657216b344f9181b00036671b73336",
+    "qmi_cosine": "fe0eea016a93d911ec606655372b601a4eb79fadf205d7743f0f29def48067c3",
+    "qmi_gaussian": "12a4992bb853922179029ce1d77f93038bdc184da3ec3fbe09204a2d9ce31d22",
+}
+
+# `pkt qmi` values printed by the dense N x N implementation on the same
+# data; the blocked sums may move last digits, by at most 1e-15.
+DENSE_QMI = {
+    "qmi_cosine": {"v_in": 0.19210312809000549, "v_all": 0.17888798816388171,
+                   "v_btw": 0.17901128803060742, "qmi": 0.012968540192672351},
+    "qmi_gaussian": {"v_in": 0.16072114382011954, "v_all": 0.14335783723647516,
+                     "v_btw": 0.14399262311293032, "qmi": 0.016093734830734063},
+}
+
+
+def run_cli(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def analysis_outputs(tmp_path, capsys):
+    rng = np.random.default_rng(33)
+    centers = rng.normal(size=(4, 6))
+    labels = rng.integers(0, 4, size=300)
+    q_labels = rng.integers(0, 5, size=90)  # label 4 never occurs in the database
+    write_features(tmp_path / "raw.txt", centers[labels] + rng.normal(size=(300, 6)))
+    write_features(tmp_path / "queries.txt", centers[q_labels % 4] + rng.normal(size=(90, 6)))
+    write_labels(tmp_path / "labels.txt", labels)
+    write_labels(tmp_path / "qlabels.txt", q_labels)
+    save_model(init_student([6, 12, 5], seed=8), tmp_path / "model.txt")
+
+    for name in ("raw", "queries"):
+        run_cli(["embed", "--model", str(tmp_path / "model.txt"), "--input", str(tmp_path / f"{name}.txt"),
+                 "--out", str(tmp_path / f"emb_{name}.txt")], capsys)
+    emb = {"raw": tmp_path / "emb_raw.txt", "queries": tmp_path / "emb_queries.txt"}
+    out = {"embed": emb["raw"].read_bytes() + emb["queries"].read_bytes()}
+    out["eval"] = run_cli(["eval", "--db", str(emb["raw"]), "--db-labels", str(tmp_path / "labels.txt"),
+                           "--queries", str(emb["queries"]), "--query-labels", str(tmp_path / "qlabels.txt"),
+                           "--top-k", "1,10,300"], capsys).encode()
+    qmi = ["qmi", "--features", str(emb["raw"]), "--labels", str(tmp_path / "labels.txt")]
+    out["qmi_cosine"] = run_cli(qmi, capsys).encode()
+    out["qmi_gaussian"] = run_cli(qmi + ["--kernel", "gaussian", "--sigma", "4.0"], capsys).encode()
+    return out
+
+
+def test_golden_analysis_digests(tmp_path, capsys):
+    outputs = analysis_outputs(tmp_path, capsys)
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == ANALYSIS_GOLDEN
+
+
+@pytest.mark.parametrize("case", list(DENSE_QMI))
+def test_qmi_output_matches_dense_values(case, tmp_path, capsys):
+    printed = dict(line.split() for line in analysis_outputs(tmp_path, capsys)[case].decode().splitlines())
+    assert set(printed) == set(DENSE_QMI[case])
+    for key, value in DENSE_QMI[case].items():
+        assert abs(float(printed[key]) - value) <= 1e-15

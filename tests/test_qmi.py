@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkt import (
     cosine_kernel,
     gaussian_kernel,
     information_potentials,
     kernel_eval,
+    kernel_matrix,
     potential_equality_check,
 )
+from pkt import qmi
+from pkt.qmi import BLOCK
 
 
 def naive_potentials(feats, labels, spec):
@@ -118,3 +123,68 @@ def test_input_validation():
     with pytest.raises(ValueError):
         potential_equality_check(np.zeros((4, 2)), np.zeros((5, 2)),
                                  cosine_kernel(), cosine_kernel(), tol=1e-9)
+
+
+BOUNDARY_SIZES = {"2": lambda b: 2, "B-1": lambda b: b - 1, "B": lambda b: b,
+                  "B+1": lambda b: b + 1, "2B+3": lambda b: 2 * b + 3}
+
+
+@pytest.mark.parametrize("block", [8, BLOCK])
+@pytest.mark.parametrize("size", list(BOUNDARY_SIZES))
+def test_blocked_sums_across_block_boundaries(block, size, monkeypatch):
+    # the loop oracle is too slow for sizes around the real BLOCK, so the
+    # potentials are checked against it with a small block in force
+    n = BOUNDARY_SIZES[size](block)
+    monkeypatch.setattr(qmi, "BLOCK", block)
+    rng = np.random.default_rng(n)
+    feats = rng.normal(size=(n, 3))
+    labels = rng.integers(0, 3, size=n)
+    if block < BLOCK:
+        for spec in (cosine_kernel(), gaussian_kernel(2.0)):
+            pots = information_potentials(feats, labels, spec)
+            for got, want in zip((pots.v_in, pots.v_all, pots.v_btw), naive_potentials(feats, labels, spec)):
+                assert abs(got - want) <= 1e-12
+
+    student = feats + 0.05 * rng.normal(size=feats.shape)
+    for spec_t, spec_s in [(cosine_kernel(), cosine_kernel()), (gaussian_kernel(2.0), cosine_kernel())]:
+        dense = np.abs(kernel_matrix(feats, spec_t) - kernel_matrix(student, spec_s)).max()
+        report = potential_equality_check(feats, student, spec_t, spec_s, tol=1e-9)
+        assert abs(report.max_deviation - dense) <= 1e-15
+        assert potential_equality_check(feats, feats.copy(), spec_t, spec_t, tol=0.0).max_deviation == 0.0
+
+
+def test_equality_check_propagates_nan():
+    feats = np.random.default_rng(5).normal(size=(BLOCK + 5, 3))
+    broken = feats.copy()
+    broken[BLOCK + 2, 1] = np.nan
+    report = potential_equality_check(feats, broken, cosine_kernel(), cosine_kernel(), tol=1.0)
+    assert math.isnan(report.max_deviation)
+    assert not report.within_tol
+
+
+def _labelled_sample(seed, n, classes):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 3)), rng.integers(0, classes, size=n), rng
+
+
+SPECS = st.sampled_from([cosine_kernel(), gaussian_kernel(0.5), gaussian_kernel(4.0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 2 * BLOCK + 3), classes=st.integers(1, 6), spec=SPECS)
+def test_potentials_invariant_under_row_permutation_and_label_renaming(seed, n, classes, spec):
+    feats, labels, rng = _labelled_sample(seed, n, classes)
+    perm = rng.permutation(n)
+    renamed = (7 - 3 * labels)[perm]  # an injective relabelling, in a new row order
+    a = information_potentials(feats, labels, spec)
+    b = information_potentials(feats[perm], renamed, spec)
+    for field in ("v_in", "v_all", "v_btw", "qmi"):
+        assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 2 * BLOCK + 3), spec=SPECS)
+def test_single_class_qmi_is_zero_for_both_families(seed, n, spec):
+    feats, _, _ = _labelled_sample(seed, n, 1)
+    pots = information_potentials(feats, np.full(n, 3), spec)
+    assert abs(pots.qmi) <= 1e-12

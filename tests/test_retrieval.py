@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkt import (
     RetrievalIndex,
@@ -134,5 +136,82 @@ def test_evaluate_validation():
         evaluate(index, np.eye(3), np.array([0, 1]))
     with pytest.raises(ValueError):
         evaluate(index, np.eye(3), np.array([0, 1, 0]), ks=[4])
+    with pytest.raises(ValueError, match="query dim"):
+        evaluate(index, np.ones((2, 4)), np.array([0, 1]))
     with pytest.raises(ValueError):
         RetrievalIndex(np.eye(3), np.array([0, 1]))
+
+
+def oracle_evaluate(db, db_labels, queries, query_labels):
+    """Per query: stable argsort of the negated cosine to every database row, then the AP scan."""
+    db_unit = db / np.maximum(np.linalg.norm(db, axis=1), 1e-8)[:, None]
+    orders, aps = [], []
+    for q, lab in zip(queries, query_labels):
+        order = np.argsort(-(db_unit @ (q / max(np.linalg.norm(q), 1e-8))), kind="stable")
+        orders.append(order)
+        n_rel = int(np.sum(db_labels == lab))
+        if n_rel:
+            aps.append(naive_ap(db_labels[order] == lab, n_rel))
+    return orders, aps
+
+
+def tie_cases():
+    # Every database row points along a coordinate axis, so its unit row is
+    # exactly +-e_k and every cosine is exactly a query coordinate, whatever
+    # the summation order: duplicated directions tie exactly, and a zero
+    # coordinate gives +0 and -0 keys.
+    rng = np.random.default_rng(83)
+    axes = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
+    duplicated = axes[rng.integers(0, 4, size=150)] * rng.uniform(0.5, 3.0, size=(150, 1))
+    all_equal = np.tile([[2.0, 0.0, 0.0]], (150, 1))
+    with_nan = duplicated.copy()
+    with_nan[[3, 70, 149]] = [np.nan, 1.0, 0.0]
+    return {"duplicated": duplicated, "all_equal": all_equal, "nan_row": with_nan}
+
+
+@pytest.mark.parametrize("case", ["duplicated", "all_equal", "nan_row"])
+def test_exact_ties_follow_the_stable_order(case):
+    rng = np.random.default_rng(89)
+    db = tie_cases()[case]
+    db_labels = rng.integers(0, 3, size=db.shape[0])
+    queries = np.vstack([[[1.0, 0, 0], [0, 1.0, -1.0], [0.5, 0.5, 0], [0, 0, 0], [-1.0, 0, 0]],
+                         rng.normal(size=(75, 3))])
+    q_labels = rng.integers(0, 4, size=queries.shape[0])
+    index = RetrievalIndex(db, db_labels)
+    orders, aps = oracle_evaluate(db, db_labels, queries, q_labels)
+    for q, order in zip(queries, orders):
+        assert rank(index, q).tolist() == order.tolist()
+    ks = [1, 10, db.shape[0]]
+    result = evaluate(index, queries, q_labels, ks)
+    assert result.per_query_ap == pytest.approx(aps, abs=1e-12)
+    assert result.n_skipped == int(np.sum(q_labels == 3))
+    kept = [db_labels[order] == lab for order, lab in zip(orders, q_labels) if np.any(db_labels == lab)]
+    for k in ks:
+        total = 0.0
+        for rel in kept:  # in query order, across both query blocks
+            total += top_k_precision(rel, k)
+        assert result.top_k[k] == total / len(kept)
+
+
+def test_rank_is_stable_among_tied_rows():
+    index = RetrievalIndex(np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 3), np.zeros(7, dtype=int))
+    assert rank(index, np.array([0.0, 2.0])).tolist() == [4, 5, 6, 0, 1, 2, 3]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_db=st.integers(1, 300), n_q=st.integers(1, 150),
+       dim=st.integers(2, 6), classes=st.integers(1, 5))
+def test_evaluate_invariant_under_database_permutation(seed, n_db, n_q, dim, classes):
+    # continuous features in two or more dimensions: ties have probability zero
+    rng = np.random.default_rng(seed)
+    db, queries = rng.normal(size=(n_db, dim)), rng.normal(size=(n_q, dim))
+    db_labels, q_labels = rng.integers(0, classes, size=n_db), rng.integers(0, classes + 1, size=n_q)
+    perm = rng.permutation(n_db)
+    ks = [1, n_db]
+    a = evaluate(RetrievalIndex(db, db_labels), queries, q_labels, ks)
+    b = evaluate(RetrievalIndex(db[perm], db_labels[perm]), queries, q_labels, ks)
+    assert a.per_query_ap == pytest.approx(b.per_query_ap, abs=1e-12)
+    assert a.n_skipped == b.n_skipped
+    if a.per_query_ap:
+        assert a.map == pytest.approx(b.map, abs=1e-12)
+        assert a.top_k == pytest.approx(b.top_k, abs=1e-12)

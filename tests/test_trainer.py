@@ -158,6 +158,7 @@ def test_failing_batch_names_epoch_and_batch():
         train(init_student([8, 16, 4], seed=0), raw, teacher, cfg=cfg)
     assert isinstance(info.value.__cause__, ValueError)
     assert "epoch" not in str(info.value.__cause__)
+    assert [(e.epoch, e.batch) for e in info.value.trace] == [(0, 0)]
 
 
 def test_training_holds_no_copy_of_the_teacher():
