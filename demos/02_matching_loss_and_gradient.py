@@ -59,10 +59,10 @@ print("loss after a tiny descent step:",
 # Supervised variant: labels induce target conditionals that put uniform
 # mass on same-class partners.  The weighted label term just adds on.
 labels = np.array([0, 0, 1, 1, 0, 1, 1, 0])
-targets, active = supervised_targets(labels)
+targets = supervised_targets(labels)
 print("\nsupervised targets for labels", labels.tolist())
 print(np.array_str(targets, precision=3))
-print("slots with a same-class partner:", active.tolist())
+print("slots with a same-class partner:", (targets.sum(axis=0) > 0).tolist())
 
 combined = pkt_loss_and_grad(student, p, spec, sup=(targets, 0.01))
 print("loss with a 0.01-weighted label term:", combined.value)

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 from .affinity import (
     conditional_probabilities,
-    joint_density,
     kernel_and_conditionals,
     sample_batch,
 )
 from .divergence import (
-    LossReport,
     kl_loss,
     pkt_loss_and_grad,
-    quadratic_loss,
     supervised_targets,
 )
 from .featio import read_features, read_labels, write_features, write_labels
@@ -31,20 +28,17 @@ from .kernels import (
     KernelSpec,
     cosine_kernel,
     gaussian_kernel,
-    kernel_eval,
     kernel_matrix,
 )
-from .qmi import EqualityReport, PotentialSet, information_potentials, potential_equality_check
+from .qmi import information_potentials, potential_equality_check
 from .retrieval import (
     RetrievalIndex,
-    RetrievalResult,
     average_precision_11pt,
     evaluate,
     rank,
     top_k_precision,
 )
 from .student import (
-    AdamState,
     StudentModel,
     adam_step,
     init_adam,
@@ -52,23 +46,17 @@ from .student import (
     load_model,
     save_model,
 )
-from .trainer import BatchFailure, TraceEntry, TrainConfig, train
+from .trainer import BatchFailure, TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "BatchFailure",
     "COSINE",
-    "EqualityReport",
     "GAUSSIAN",
     "KernelSpec",
-    "LossReport",
-    "PotentialSet",
     "RetrievalIndex",
-    "RetrievalResult",
     "StudentModel",
-    "TraceEntry",
     "TrainConfig",
     "adam_step",
     "average_precision_11pt",
@@ -81,16 +69,13 @@ __all__ = [
     "information_potentials",
     "init_adam",
     "init_student",
-    "joint_density",
     "kernel_and_conditionals",
-    "kernel_eval",
     "kernel_matrix",
     "kl_loss",
     "load_model",
     "max_relative_error",
     "pkt_loss_and_grad",
     "potential_equality_check",
-    "quadratic_loss",
     "rank",
     "read_features",
     "read_labels",

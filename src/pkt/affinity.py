@@ -1,4 +1,4 @@
-"""Batch affinity matrices: joint and conditional kernel densities.
+"""Batch affinity matrices: conditional kernel densities.
 
 Orientation convention, fixed once here: entry ``[i, j]`` of a
 conditional matrix is the probability of sample *i* given conditioning
@@ -33,14 +33,6 @@ def _checked_features(feats: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(feats)):
         raise ValueError("feature matrix contains non-finite entries")
     return feats
-
-
-def joint_density(feats: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Kernel density estimate of the pairwise joint: ``K(x_i, x_j) / N`` off the diagonal."""
-    feats = _checked_features(feats)
-    k = kernel_matrix(feats, spec)
-    np.fill_diagonal(k, 0.0)
-    return k / feats.shape[0]
 
 
 def kernel_and_conditionals(

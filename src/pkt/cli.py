@@ -24,6 +24,9 @@ from .trainer import BatchFailure, TrainConfig, train
 
 log = logging.getLogger(__name__)
 
+# Gaussian width of a single-instance gradcheck.
+GRADCHECK_WIDTH = 2.0
+
 
 class CliError(Exception):
     pass
@@ -76,7 +79,6 @@ def cmd_transfer(args) -> int:
         student_spec=student_spec,
         sup_weight=args.sup_weight,
         seed=args.seed,
-        log_every=args.log_every,
     )
     model = init_student([raw.shape[1]] + arch, seed=args.seed)
     try:
@@ -116,8 +118,8 @@ def cmd_eval(args) -> int:
             raise CliError(f"--top-k must be a comma-separated list of integers, got {args.top_k!r}") from None
     result = evaluate(index, queries, query_labels, ks)
     print(f"mAP {100.0 * result.map:.4f}")
-    for k in ks:
-        print(f"t-{k} {100.0 * result.top_k[k]:.4f}")
+    for k, precision in result.top_k.items():
+        print(f"t-{k} {100.0 * precision:.4f}")
     if result.n_skipped:
         log.info("skipped %d queries with no relevant database item", result.n_skipped)
     return 0
@@ -141,14 +143,14 @@ def cmd_gradcheck(args) -> int:
         n = args.n if args.n is not None else 8
         dim = args.dim if args.dim is not None else 4
         if args.kernel == GAUSSIAN:
-            specs = [gaussian_kernel(args.sigma if args.sigma else 2.0)]
+            specs = [gaussian_kernel(GRADCHECK_WIDTH)]
         elif args.kernel == COSINE:
             specs = [cosine_kernel()]
         else:
-            specs = [cosine_kernel(), gaussian_kernel(args.sigma if args.sigma else 2.0)]
-        worst = max(check_instance(n, dim, spec, rng, corrupt=args.corrupt) for spec in specs)
+            specs = [cosine_kernel(), gaussian_kernel(GRADCHECK_WIDTH)]
+        worst = max(check_instance(n, dim, spec, rng) for spec in specs)
     else:
-        worst = run_battery(args.seed, corrupt=args.corrupt)
+        worst = run_battery(args.seed)
     print(f"max relative error {worst:.6g}")
     return 0 if worst < PASS_THRESHOLD else 1
 
@@ -174,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="path for the trained model")
     p.add_argument("--loss-log", default=None, help="write 'epoch batch loss' lines here")
-    p.add_argument("--log-every", type=int, default=0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("embed", help="run a trained model over a feature file")
@@ -203,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="batch size for a single-instance check")
     p.add_argument("--dim", type=int, default=None, help="embedding dim for a single-instance check")
     p.add_argument("--kernel", choices=[COSINE, GAUSSIAN], default=None)
-    p.add_argument("--sigma", type=float, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -51,22 +51,13 @@ def kl_loss(p_teacher: np.ndarray, q_student: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / qc[mask])))
 
 
-def quadratic_loss(p_teacher: np.ndarray, q_student: np.ndarray) -> float:
-    """Symmetric squared-difference divergence over off-diagonal entries."""
-    p, q = _check_same_shape(p_teacher, q_student)
-    d = p - q
-    np.fill_diagonal(d, 0.0)
-    return float(np.sum(d * d))
-
-
-def supervised_targets(labels) -> tuple[np.ndarray, np.ndarray]:
+def supervised_targets(labels) -> np.ndarray:
     """Label-derived target conditionals: uniform over same-class partners.
 
-    Returns ``(targets, mask)`` where ``targets[i, j] = 1 / c_j`` if
-    samples i and j share a class (i != j, c_j partners in slot j) and
-    ``mask[j]`` is True when slot j has at least one partner.  Slots
-    without partners are all-zero columns; they contribute nothing to a
-    KL against these targets.  Raises if every label is a singleton.
+    ``targets[i, j] = 1 / c_j`` if samples i and j share a class (i != j,
+    c_j partners in slot j).  Slots without partners are all-zero
+    columns; they contribute nothing to a KL against these targets.
+    Raises if every label is a singleton.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] < 2:
@@ -80,7 +71,7 @@ def supervised_targets(labels) -> tuple[np.ndarray, np.ndarray]:
     targets = np.zeros(same.shape)
     cols = np.where(mask)[0]
     targets[:, cols] = same[:, cols] / counts[cols]
-    return targets, mask
+    return targets
 
 
 def _dloss_dq(p_eff: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -129,8 +120,8 @@ def pkt_loss_and_grad(
         sup_targets = np.asarray(sup_targets, dtype=float)
         if sup_targets.shape != (n, n):
             raise ValueError("supervised target size mismatch")
-        if weight < 0:
-            raise ValueError("supervised weight must be nonnegative")
+        if not np.isfinite(weight) or weight < 0:
+            raise ValueError("supervised weight must be nonnegative and finite")
         if weight > 0:
             value += weight * kl_loss(sup_targets, q)
             p_eff = p + weight * sup_targets

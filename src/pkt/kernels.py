@@ -54,24 +54,6 @@ def _safe_norms(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(x, axis=-1), NORM_EPS)
 
 
-def kernel_eval(a, b, spec: KernelSpec) -> float:
-    """Evaluate the kernel on a single pair of vectors.
-
-    Symmetric by construction (commutative reductions only), with the
-    result in [0, 1].  Raises ValueError on dimension mismatch.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"vectors must share one dimension, got {a.shape} and {b.shape}")
-    if spec.family == COSINE:
-        cos = float(np.dot(a, b)) / (float(_safe_norms(a)) * float(_safe_norms(b)))
-        cos = min(1.0, max(-1.0, cos))
-        return 0.5 * (cos + 1.0)
-    d2 = float(np.sum((a - b) ** 2))
-    return float(np.exp(-d2 / spec.width))
-
-
 def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Full N x N kernel matrix of the rows of ``x``, self-pairs included.
 

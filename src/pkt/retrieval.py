@@ -136,10 +136,13 @@ def evaluate(
     query_labels,
     ks: list[int] | None = None,
 ) -> RetrievalResult:
-    """Rank every query against the database and aggregate mAP and top-k precision."""
+    """Rank every query against the database and aggregate mAP and top-k precision.
+
+    ``top_k`` holds each distinct k of ``ks`` once, in first-seen order.
+    """
     queries = np.asarray(queries, dtype=float)
     query_labels = np.asarray(query_labels)
-    ks = list(ks) if ks else []
+    ks = list(dict.fromkeys(ks)) if ks else []
     if queries.ndim != 2 or queries.shape[0] == 0:
         raise ValueError("query set is empty")
     if query_labels.shape[0] != queries.shape[0]:

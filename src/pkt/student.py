@@ -15,14 +15,11 @@ import numpy as np
 
 
 class StudentModel:
-    def __init__(self, layer_dims: list[int], weights=None, biases=None):
+    def __init__(self, layer_dims: list[int], weights, biases):
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise ValueError("layer_dims needs at least [d_in, d_out], all positive")
         self.layer_dims = list(int(d) for d in layer_dims)
         n_layers = len(self.layer_dims) - 1
-        if weights is None:
-            weights = [np.zeros((self.layer_dims[i], self.layer_dims[i + 1])) for i in range(n_layers)]
-            biases = [np.zeros(self.layer_dims[i + 1]) for i in range(n_layers)]
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
         for i in range(n_layers):
@@ -106,12 +103,15 @@ def init_student(layer_dims: list[int], seed: int) -> StudentModel:
     return StudentModel(layer_dims, weights, biases)
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -119,15 +119,12 @@ class AdamState:
     scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        if self.lr <= 0 or self.eps <= 0:
-            raise ValueError("lr and eps must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must lie in (0, 1)")
+        if not np.isfinite(self.lr) or self.lr <= 0:
+            raise ValueError("lr must be positive and finite")
 
 
-def init_adam(params: list[np.ndarray], lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params: list[np.ndarray], lr: float = 1e-4) -> AdamState:
+    state = AdamState(lr=lr)
     state.m = [np.zeros_like(p) for p in params]
     state.v = [np.zeros_like(p) for p in params]
     state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
@@ -137,9 +134,9 @@ def init_adam(params: list[np.ndarray], lr: float = 1e-4, beta1: float = 0.9,
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> AdamState:
     """One bias-corrected Adam update, applied to ``params`` and the moments in place.
 
-    The arithmetic is ``m = beta1 m + (1 - beta1) g``,
-    ``v = beta2 v + (1 - beta2) g^2`` and
-    ``p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)``, in that order; only
+    The arithmetic is ``m = BETA1 m + (1 - BETA1) g``,
+    ``v = BETA2 v + (1 - BETA2) g^2`` and
+    ``p -= (lr * (m / c1)) / (sqrt(v / c2) + EPS)``, in that order; only
     the storage of the intermediates is reused.
     """
     if not len(params) == len(grads) == len(state.m) == len(state.v) == len(state.scratch):
@@ -147,21 +144,21 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     if any(g.shape != p.shape for p, g in zip(params, grads)):
         raise ValueError("gradient shape mismatch")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - BETA1 ** state.step
+    c2 = 1.0 - BETA2 ** state.step
     for p, g, m, v, (step, den) in zip(params, grads, state.m, state.v, state.scratch):
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=step)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=step)
         m += step
-        v *= state.beta2
+        v *= BETA2
         np.multiply(g, g, out=step)
-        step *= 1.0 - state.beta2
+        step *= 1.0 - BETA2
         v += step
         np.divide(m, c1, out=step)
         step *= state.lr
         np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
-        den += state.eps
+        den += EPS
         step /= den
         p -= step
     return state

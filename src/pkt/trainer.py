@@ -13,7 +13,6 @@ similarity structure.  Class labels are only touched when
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,6 @@ from .affinity import conditional_probabilities  # noqa: F401  (perfbench's test
 from .divergence import pkt_loss_and_grad, supervised_targets
 from .kernels import COSINE, KernelSpec, _kernel_of_rows, _row_stats, cosine_kernel
 from .student import StudentModel, adam_step, init_adam
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -36,17 +33,16 @@ class TrainConfig:
     student_spec: KernelSpec = field(default_factory=cosine_kernel)
     sup_weight: float = 0.0
     seed: int = 0
-    log_every: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.sup_weight < 0:
-            raise ValueError("sup_weight must be nonnegative")
+        if not np.isfinite(self.lr) or self.lr <= 0:
+            raise ValueError("lr must be positive and finite")
+        if not np.isfinite(self.sup_weight) or self.sup_weight < 0:
+            raise ValueError("sup_weight must be nonnegative and finite")
 
 
 @dataclass
@@ -132,13 +128,11 @@ def train(
                 y = model.forward(raw_inputs[idx])
                 sup = None
                 if cfg.sup_weight > 0:
-                    targets, _ = supervised_targets(labels[idx])
+                    targets = supervised_targets(labels[idx])
                     sup = (targets, cfg.sup_weight)
                 report = pkt_loss_and_grad(y, p, cfg.student_spec, sup)
                 adam_step(state, model.parameters(), model.backward(report.grad_y))
             except ValueError as exc:
                 raise BatchFailure(f"epoch {epoch} batch {b}: {exc}", trace) from exc
             trace.append(TraceEntry(epoch=epoch, batch=b, loss=report.value))
-            if cfg.log_every > 0 and len(trace) % cfg.log_every == 0:
-                log.info("%d %d %.17g", epoch, b, report.value)
     return model, trace

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkt import (
     conditional_probabilities,
     cosine_kernel,
     gaussian_kernel,
-    joint_density,
     kernel_and_conditionals,
     sample_batch,
 )
@@ -37,6 +38,33 @@ def test_slots_sum_to_one(spec):
         assert np.all(np.diag(q) == 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), dim=st.integers(2, 8),
+       log_scale=st.floats(-8.0, 8.0), family=st.sampled_from(["cosine", "gaussian"]),
+       width_factor=st.floats(0.05, 4.0))
+def test_columns_sum_to_one_over_drawn_shapes_and_scales(seed, n, dim, log_scale, family, width_factor):
+    # rows in the cube [-scale, scale]^dim are at most 4 * dim * scale^2 apart
+    # in squared distance, so this width keeps every Gaussian kernel value
+    # above exp(-20) and no slot is degenerate
+    scale = 10.0 ** log_scale
+    x = np.random.default_rng(seed).uniform(-scale, scale, size=(n, dim))
+    spec = cosine_kernel() if family == "cosine" else gaussian_kernel(4.0 * dim * scale**2 * width_factor)
+    q = conditional_probabilities(x, spec)
+    assert np.max(np.abs(q.sum(axis=0) - 1.0)) <= 1e-12
+    assert np.all(np.diag(q) == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), dim=st.integers(2, 8))
+def test_cosine_conditionals_ignore_per_row_scale(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, dim))
+    factors = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    q = conditional_probabilities(x, cosine_kernel())
+    scaled = conditional_probabilities(x * factors[:, None], cosine_kernel())
+    assert np.max(np.abs(scaled - q)) <= 1e-12
+
+
 def test_kernel_and_conditionals_consistency():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(9, 3))
@@ -44,15 +72,6 @@ def test_kernel_and_conditionals_consistency():
     assert np.all(np.diag(k) == 0.0)
     assert colsums == pytest.approx(k.sum(axis=0))
     assert q == pytest.approx(k / colsums[None, :])
-
-
-def test_joint_density_off_diagonal_scaling():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(6, 2))
-    k, _, _ = kernel_and_conditionals(x, cosine_kernel())
-    joint = joint_density(x, cosine_kernel())
-    assert joint == pytest.approx(k / 6.0)
-    assert np.all(np.diag(joint) == 0.0)
 
 
 def test_degenerate_geometry_raises():

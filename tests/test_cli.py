@@ -89,6 +89,22 @@ def test_eval_output_format_matches_library(workdir, capsys):
     assert re.fullmatch(r"mAP \d+\.\d{4}", out[0])
 
 
+def test_eval_prints_a_repeated_k_once(workdir, capsys):
+    def eval_output(top_k):
+        rc = main(["eval", "--db", str(workdir / "teacher.txt"),
+                   "--db-labels", str(workdir / "labels.txt"),
+                   "--queries", str(workdir / "teacher.txt"),
+                   "--query-labels", str(workdir / "labels.txt"),
+                   "--top-k", top_k])
+        assert rc == 0
+        return capsys.readouterr().out.splitlines()
+
+    single = eval_output("10")
+    assert len(single) == 2 and single[1].startswith("t-10 ")
+    assert eval_output("10,10") == single
+    assert eval_output("10,3,10") == single + eval_output("3")[1:]
+
+
 def test_qmi_output(workdir, capsys):
     rc = main(["qmi", "--features", str(workdir / "teacher.txt"),
                "--labels", str(workdir / "labels.txt")])
@@ -116,10 +132,23 @@ def test_gradcheck_single_instance(capsys):
     assert float(capsys.readouterr().out.split()[-1]) < 1e-4
 
 
-def test_gradcheck_detects_corruption(capsys):
-    rc = main(["gradcheck", "--seed", "0", "--corrupt"])
+def test_gradcheck_detects_corruption(sign_flipped_gradient, capsys):
+    rc = main(["gradcheck", "--seed", "0"])
     assert rc == 1
     assert float(capsys.readouterr().out.split()[-1]) >= 1e-4
+
+
+@pytest.mark.parametrize("flag, message", [("--lr", "lr must be positive and finite"),
+                                           ("--sup-weight", "sup_weight must be nonnegative and finite")])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_rate_or_weight_is_rejected(workdir, capsys, flag, bad, message):
+    loss_log = workdir / "loss.txt"
+    rc = main(transfer_args(workdir, extra=[flag, bad, "--labels", str(workdir / "labels.txt"),
+                                            "--loss-log", str(loss_log)]))
+    assert rc == 1
+    assert capsys.readouterr().err == f"pkt: {message}\n"
+    assert not (workdir / "model.txt").exists()
+    assert not loss_log.exists()
 
 
 def test_gaussian_requires_widths(workdir, capsys):

@@ -7,7 +7,6 @@ from pkt import (
     gaussian_kernel,
     kl_loss,
     pkt_loss_and_grad,
-    quadratic_loss,
     supervised_targets,
 )
 from pkt.gradcheck import finite_difference, max_relative_error, random_conditionals
@@ -57,7 +56,7 @@ def test_kl_clamp_floor():
 
 
 def test_kl_zero_times_log_zero():
-    targets, _ = supervised_targets([0, 0, 1])
+    targets = supervised_targets([0, 0, 1])
     q = random_conditionals(np.random.default_rng(0), 3)
     assert np.isfinite(kl_loss(targets, q))
 
@@ -69,42 +68,21 @@ def test_kl_shape_validation():
         kl_loss(np.zeros((3, 3)), np.zeros((2, 2)))
 
 
-def test_quadratic_hand_instance_and_symmetry():
-    # one slot p = (1, 0) against q = (0, 1): squared differences add to 2
-    p = np.array([
-        [0.0, 0.4, 0.55],
-        [1.0, 0.0, 0.45],
-        [0.0, 0.6, 0.0],
-    ])
-    q = p.copy()
-    q[1, 0] = 0.0
-    q[2, 0] = 1.0
-    assert quadratic_loss(p, q) == pytest.approx(2.0, abs=1e-12)
-    rng = np.random.default_rng(2)
-    a = random_conditionals(rng, 6)
-    b = random_conditionals(rng, 6)
-    assert quadratic_loss(a, b) == quadratic_loss(b, a)
-    assert quadratic_loss(a, a) == 0.0
-
-
 def test_supervised_targets_pairs():
-    targets, mask = supervised_targets([0, 0, 1, 1])
+    targets = supervised_targets([0, 0, 1, 1])
     assert targets[1, 0] == 1.0 and targets[0, 1] == 1.0
     assert targets[3, 2] == 1.0 and targets[2, 3] == 1.0
-    assert np.all(mask)
     assert targets.sum(axis=0) == pytest.approx(np.ones(4))
 
 
 def test_supervised_targets_uniform_over_class():
-    targets, mask = supervised_targets([0, 0, 0])
+    targets = supervised_targets([0, 0, 0])
     off = ~np.eye(3, dtype=bool)
     assert np.all(targets[off] == 0.5)
-    assert np.all(mask)
 
 
 def test_supervised_targets_singleton_slot():
-    targets, mask = supervised_targets([0, 0, 1])
-    assert mask.tolist() == [True, True, False]
+    targets = supervised_targets([0, 0, 1])
     assert np.all(targets[:, 2] == 0.0)
 
 
@@ -143,7 +121,7 @@ def test_sup_weight_zero_equals_unsupervised():
     rng = np.random.default_rng(6)
     y = rng.normal(size=(6, 3))
     p = random_conditionals(rng, 6)
-    targets, _ = supervised_targets([0, 0, 1, 1, 2, 2])
+    targets = supervised_targets([0, 0, 1, 1, 2, 2])
     plain = pkt_loss_and_grad(y, p, cosine_kernel())
     zeroed = pkt_loss_and_grad(y, p, cosine_kernel(), sup=(targets, 0.0))
     assert zeroed.value == plain.value
@@ -154,7 +132,7 @@ def test_sup_term_adds_weighted_kl_and_correct_grad():
     rng = np.random.default_rng(7)
     y = rng.normal(size=(6, 3))
     p = random_conditionals(rng, 6)
-    targets, _ = supervised_targets([0, 0, 1, 1, 2, 2])
+    targets = supervised_targets([0, 0, 1, 1, 2, 2])
     weight = 0.01
     q = conditional_probabilities(y, cosine_kernel())
     combined = pkt_loss_and_grad(y, p, cosine_kernel(), sup=(targets, weight))

@@ -1,7 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pkt import read_features, read_labels, write_features, write_labels
+
+# Every finite double, with the edge cases drawn often: signed zeros, the
+# smallest subnormals and values near the largest double.
+FINITE_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def test_feature_round_trip_is_exact(tmp_path):
@@ -11,6 +24,15 @@ def test_feature_round_trip_is_exact(tmp_path):
     write_features(path, feats)
     assert path.read_text().splitlines()[0] == "12 4"
     assert np.array_equal(read_features(path), feats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(feats=hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=FINITE_DOUBLES))
+def test_feature_round_trip_is_bitwise_exact_on_drawn_doubles(feats):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        write_features(path, feats)
+        assert read_features(path).tobytes() == feats.tobytes()
 
 
 def test_feature_single_row(tmp_path):

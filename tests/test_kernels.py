@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pkt import (
     COSINE,
@@ -7,9 +10,9 @@ from pkt import (
     KernelSpec,
     cosine_kernel,
     gaussian_kernel,
-    kernel_eval,
     kernel_matrix,
 )
+from test_qmi import kernel_eval
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -57,6 +60,16 @@ def test_matrix_exactly_symmetric_and_bounded(spec):
         assert np.array_equal(k, k.T)
         assert np.all(k >= 0.0) and np.all(k <= 1.0)
         assert np.allclose(np.diag(k), 1.0, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=hnp.arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+                    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+       spec=st.one_of(st.just(cosine_kernel()), st.floats(1e-3, 1e3).map(gaussian_kernel)))
+def test_matrix_bitwise_symmetric_and_in_unit_interval_on_drawn_rows(x, spec):
+    k = kernel_matrix(x, spec)
+    assert k.tobytes() == np.ascontiguousarray(k.T).tobytes()
+    assert np.all(k >= 0.0) and np.all(k <= 1.0)
 
 
 def test_cosine_scale_invariance():

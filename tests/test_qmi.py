@@ -6,15 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkt import (
+    COSINE,
     cosine_kernel,
     gaussian_kernel,
     information_potentials,
-    kernel_eval,
     kernel_matrix,
     potential_equality_check,
 )
 from pkt import qmi
+from pkt.kernels import NORM_EPS
 from pkt.qmi import BLOCK
+
+
+def kernel_eval(a, b, spec):
+    """The kernel of one pair of vectors, the pairwise oracle for every kernel sum.
+
+    Symmetric by construction (commutative reductions only), with the
+    result in [0, 1].  Raises ValueError on dimension mismatch.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"vectors must share one dimension, got {a.shape} and {b.shape}")
+    if spec.family == COSINE:
+        norms = max(float(np.linalg.norm(a)), NORM_EPS) * max(float(np.linalg.norm(b)), NORM_EPS)
+        cos = min(1.0, max(-1.0, float(np.dot(a, b)) / norms))
+        return 0.5 * (cos + 1.0)
+    d2 = float(np.sum((a - b) ** 2))
+    return float(np.exp(-d2 / spec.width))
 
 
 def naive_potentials(feats, labels, spec):

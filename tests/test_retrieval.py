@@ -116,6 +116,17 @@ def test_evaluate_skips_unmatched_labels():
     assert all_missing.n_skipped == 1
 
 
+def test_evaluate_reports_a_repeated_k_once():
+    rng = np.random.default_rng(12)
+    index = RetrievalIndex(rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+    queries, q_labels = rng.normal(size=(7, 3)), rng.integers(0, 3, size=7)
+    single = evaluate(index, queries, q_labels, ks=[10]).top_k[10]
+    assert 0.0 < single < 1.0
+    assert evaluate(index, queries, q_labels, ks=[10, 10]).top_k == {10: single}
+    both = evaluate(index, queries, q_labels, ks=[5, 10, 5, 10])
+    assert list(both.top_k.items()) == [(5, evaluate(index, queries, q_labels, ks=[5]).top_k[5]), (10, single)]
+
+
 def test_evaluate_chance_level_on_random_embeddings():
     # needs a deep database: the interpolated AP's max over cutoffs sits
     # visibly above the relevant fraction when the ranking list is short

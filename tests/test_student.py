@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pkt import (
     StudentModel,
@@ -10,6 +16,8 @@ from pkt import (
     save_model,
 )
 from pkt.gradcheck import max_relative_error
+from pkt.student import BETA1, BETA2, EPS
+from test_featio import FINITE_DOUBLES
 
 
 def naive_forward(model, x):
@@ -119,9 +127,9 @@ def test_backward_consumes_its_forward():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        StudentModel([3])
+        StudentModel([3], weights=[], biases=[])
     with pytest.raises(ValueError):
-        StudentModel([3, 0])
+        StudentModel([3, 0], weights=[np.zeros((3, 0))], biases=[np.zeros(0)])
     with pytest.raises(ValueError):
         StudentModel([2, 2], weights=[np.zeros((2, 3))], biases=[np.zeros(2)])
 
@@ -161,14 +169,14 @@ def test_adam_descends_on_quadratic():
 def reference_adam_step(state, params, grads):
     # the out-of-place update the in-place one must reproduce bit for bit
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - BETA1 ** state.step
+    c2 = 1.0 - BETA2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def test_adam_in_place_matches_reference_bitwise():
@@ -176,8 +184,8 @@ def test_adam_in_place_matches_reference_bitwise():
     shapes = [(7, 5), (5,), (5, 3), (3,), (1, 1)]
     params = [rng.normal(size=s) for s in shapes]
     ref_params = [p.copy() for p in params]
-    state = init_adam(params, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
-    ref_state = init_adam(ref_params, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+    state = init_adam(params, lr=3e-3)
+    ref_state = init_adam(ref_params, lr=3e-3)
     for _ in range(8):
         grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
         adam_step(state, params, grads)
@@ -215,6 +223,25 @@ def test_serialization_round_trip(tmp_path):
     path2 = tmp_path / "model2.txt"
     save_model(loaded, path2)
     assert path2.read_bytes() == path.read_bytes()
+
+
+@st.composite
+def drawn_models(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    weights = [draw(hnp.arrays(float, (a, b), elements=FINITE_DOUBLES)) for a, b in zip(dims[:-1], dims[1:])]
+    biases = [draw(hnp.arrays(float, (b,), elements=FINITE_DOUBLES)) for b in dims[1:]]
+    return StudentModel(dims, weights, biases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=drawn_models())
+def test_serialization_round_trip_is_bitwise_exact_on_drawn_doubles(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded.layer_dims == model.layer_dims
+    assert [p.tobytes() for p in loaded.parameters()] == [p.tobytes() for p in model.parameters()]
 
 
 def test_load_rejects_malformed_files(tmp_path):

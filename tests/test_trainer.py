@@ -9,7 +9,9 @@ from pkt import (
     conditional_probabilities,
     cosine_kernel,
     gaussian_kernel,
+    init_adam,
     init_student,
+    pkt_loss_and_grad,
     sample_batch,
     train,
 )
@@ -103,6 +105,20 @@ def test_config_and_input_validation():
         train(model, raw, teacher, cfg=TrainConfig(batch_size=5, sup_weight=0.1))
     with pytest.raises(ValueError):
         train(model, raw, teacher, labels[:-1], TrainConfig(batch_size=5, sup_weight=0.1))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_rates_and_weights_rejected(bad):
+    with pytest.raises(ValueError, match="^lr must be positive and finite$"):
+        TrainConfig(lr=bad)
+    with pytest.raises(ValueError, match="^sup_weight must be nonnegative and finite$"):
+        TrainConfig(sup_weight=bad)
+    with pytest.raises(ValueError, match="^lr must be positive and finite$"):
+        init_adam([np.zeros(2)], lr=bad)
+    y = np.random.default_rng(0).normal(size=(4, 2))
+    p = conditional_probabilities(y, cosine_kernel())
+    with pytest.raises(ValueError, match="^supervised weight must be nonnegative and finite$"):
+        pkt_loss_and_grad(y, p, cosine_kernel(), sup=(p, bad))
 
 
 def test_default_config_used_when_omitted():
