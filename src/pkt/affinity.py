@@ -36,23 +36,26 @@ def _checked_features(feats: np.ndarray) -> np.ndarray:
 
 
 def kernel_and_conditionals(
-    feats: np.ndarray, spec: KernelSpec
+    feats: np.ndarray, spec: KernelSpec, *, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return ``(k, colsums, q)`` with the diagonal of ``k`` zeroed.
 
     ``q[:, j] = k[:, j] / colsums[j]`` is the conditional distribution
     for slot j.  Shared by the loss gradient, which needs all three.
+    ``out`` is an optional pair of C-contiguous N x N float arrays that
+    receive ``k`` and ``q``; by default both are new.
     """
-    return _conditionals(kernel_matrix(_checked_features(feats), spec))
+    k_out, q_out = (None, None) if out is None else out
+    return _conditionals(kernel_matrix(_checked_features(feats), spec, out=k_out, scratch=q_out), out=q_out)
 
 
-def _conditionals(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero the diagonal of the kernel matrix ``k`` in place and normalize its columns."""
+def _conditionals(k: np.ndarray, *, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero the diagonal of the kernel matrix ``k`` in place and normalize its columns into ``out``."""
     np.fill_diagonal(k, 0.0)
     colsums = k.sum(axis=0)
     if np.any(colsums < DENOM_FLOOR):
         raise ValueError("degenerate geometry: a conditioning slot has near-zero kernel mass")
-    q = k / colsums[None, :]
+    q = np.divide(k, colsums[None, :], out=out)
     return k, colsums, q
 
 

@@ -142,6 +142,10 @@ def cmd_gradcheck(args) -> int:
     if args.n is not None or args.dim is not None:
         n = args.n if args.n is not None else 8
         dim = args.dim if args.dim is not None else 4
+        if n < 2:
+            raise CliError(f"--n must be at least 2, got {n}")
+        if dim < 1:
+            raise CliError(f"--dim must be at least 1, got {dim}")
         if args.kernel == GAUSSIAN:
             specs = [gaussian_kernel(GRADCHECK_WIDTH)]
         elif args.kernel == COSINE:

@@ -9,6 +9,7 @@ documented as batch-size-coupled for that reason.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ from .kernels import COSINE, NORM_EPS, KernelSpec
 # Floor applied to student conditionals inside the log; far below any
 # conditional reachable with cosine kernels at trainable batch sizes.
 Q_FLOOR = 1e-7
+
+# Largest number of entries kl_loss gathers in one temporary.
+GATHER_ENTRIES = 1 << 14
+
+# Flat N * N buffers that one pkt_loss_and_grad call writes its N x N arrays into.
+LOSS_BUFFERS = 4
 
 
 @dataclass
@@ -45,19 +52,41 @@ def kl_loss(p_teacher: np.ndarray, q_student: np.ndarray) -> float:
     target matrices with empty slots are handled without special casing.
     """
     p, q = _check_same_shape(p_teacher, q_student)
-    qc = np.clip(q, Q_FLOOR, 1.0)
+    return _kl_of_clamped(p, np.clip(q, Q_FLOOR, 1.0), np.empty(p.size), np.empty(p.size))
+
+
+def _kl_of_clamped(p: np.ndarray, qc: np.ndarray, p_buf: np.ndarray, qc_buf: np.ndarray) -> float:
+    """:func:`kl_loss` of ``p`` against ``qc``, student conditionals already clamped to [Q_FLOOR, 1].
+
+    The terms are those of ``p[mask] * log(p[mask] / qc[mask])``, summed
+    in that order.  The masked entries are gathered into the flat buffers
+    ``p_buf`` and ``qc_buf`` of at least ``p.size`` entries each, a block
+    of rows at a time, so no temporary holds more than GATHER_ENTRIES.
+    """
     mask = p > 0.0
     np.fill_diagonal(mask, False)
-    return float(np.sum(p[mask] * np.log(p[mask] / qc[mask])))
+    rows = max(1, GATHER_ENTRIES // max(1, p.shape[1]))
+    end = 0
+    for lo in range(0, p.shape[0], rows):
+        block = mask[lo : lo + rows]
+        start, end = end, end + np.count_nonzero(block)
+        p_buf[start:end] = p[lo : lo + rows][block]
+        qc_buf[start:end] = qc[lo : lo + rows][block]
+    p_terms, terms = p_buf[:end], qc_buf[:end]
+    np.divide(p_terms, terms, out=terms)
+    np.log(terms, out=terms)
+    terms *= p_terms
+    return float(np.sum(terms))
 
 
-def supervised_targets(labels) -> np.ndarray:
+def supervised_targets(labels, *, out: np.ndarray | None = None) -> np.ndarray:
     """Label-derived target conditionals: uniform over same-class partners.
 
     ``targets[i, j] = 1 / c_j`` if samples i and j share a class (i != j,
     c_j partners in slot j).  Slots without partners are all-zero
     columns; they contribute nothing to a KL against these targets.
-    Raises if every label is a singleton.
+    Raises if every label is a singleton.  The targets are written into
+    ``out``, an N x N float array, or a new one when None.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] < 2:
@@ -65,23 +94,34 @@ def supervised_targets(labels) -> np.ndarray:
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     counts = same.sum(axis=0)
-    mask = counts > 0
-    if not np.any(mask):
+    if not np.any(counts > 0):
         raise ValueError("all labels are singletons: no same-class pair exists")
-    targets = np.zeros(same.shape)
-    cols = np.where(mask)[0]
-    targets[:, cols] = same[:, cols] / counts[cols]
-    return targets
+    # a slot without partners is an all-False column, so dividing it by 1 zeroes it
+    return np.divide(same, np.maximum(counts, 1), out=out)
 
 
-def _dloss_dq(p_eff: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _dloss_dq(p_eff: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     # d/dq of sum p*log(p/clamp(q)) = -p/q where the clamp is inactive
     # and p > 0; zero elsewhere (clamped entries are locally constant).
-    g = np.zeros_like(q)
     active = (p_eff > 0.0) & (q > Q_FLOOR)
     np.fill_diagonal(active, False)
-    g[active] = -p_eff[active] / q[active]
-    return g
+    out.fill(0.0)
+    np.negative(p_eff, out=out, where=active)
+    return np.divide(out, q, out=out, where=active)
+
+
+def _squares(workspace, n: int, arrays) -> list[np.ndarray]:
+    """The first ``n * n`` entries of each workspace buffer, as C-contiguous n x n arrays."""
+    if len(workspace) < LOSS_BUFFERS:
+        raise ValueError(f"the workspace needs {LOSS_BUFFERS} buffers")
+    squares = []
+    for buf in workspace[:LOSS_BUFFERS]:
+        if buf.dtype != np.float64 or buf.ndim != 1 or buf.size < n * n or not buf.flags.c_contiguous:
+            raise ValueError(f"workspace buffers must be flat float64 arrays of at least {n * n} entries")
+        if any(np.may_share_memory(buf, a) for a in arrays):
+            raise ValueError("workspace buffers must not share memory with the inputs")
+        squares.append(buf[: n * n].reshape(n, n))
+    return squares
 
 
 def pkt_loss_and_grad(
@@ -89,6 +129,8 @@ def pkt_loss_and_grad(
     p_teacher: np.ndarray,
     student_spec: KernelSpec,
     sup: tuple[np.ndarray, float] | None = None,
+    *,
+    workspace: Sequence[np.ndarray] | None = None,
 ) -> LossReport:
     """KL(teacher || student-conditionals(y)) and its exact gradient in y.
 
@@ -104,17 +146,17 @@ def pkt_loss_and_grad(
 
     ``sup`` is an optional ``(targets, weight)`` pair adding
     ``weight * KL(targets || conditionals(y))`` to the loss.
+
+    Every N x N float array of the call is written into ``workspace``, a
+    sequence of ``LOSS_BUFFERS`` flat float64 arrays of at least N * N
+    entries each that share no memory with the inputs; by default the
+    call allocates its own.  ``grad_y`` is always a new array.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(p_teacher, dtype=float)
     n = y.shape[0]
     if p.shape != (n, n):
         raise ValueError(f"teacher matrix {p.shape} does not match {n} student rows")
-
-    k, colsums, q = kernel_and_conditionals(y, student_spec)
-
-    value = kl_loss(p, q)
-    p_eff = p
     if sup is not None:
         sup_targets, weight = sup
         sup_targets = np.asarray(sup_targets, dtype=float)
@@ -122,27 +164,43 @@ def pkt_loss_and_grad(
             raise ValueError("supervised target size mismatch")
         if not np.isfinite(weight) or weight < 0:
             raise ValueError("supervised weight must be nonnegative and finite")
-        if weight > 0:
-            value += weight * kl_loss(sup_targets, q)
-            p_eff = p + weight * sup_targets
+    if workspace is None:
+        workspace = [np.empty(n * n) for _ in range(LOSS_BUFFERS)]
+    inputs = (y, p) if sup is None else (y, p, sup_targets)
+    k_buf, q_buf, e_buf, g_buf = _squares(workspace, n, inputs)
 
-    g = _dloss_dq(p_eff, q)
-    t = np.einsum("rc,rc->c", g, q)
-    a = (g - t[None, :]) / colsums[None, :]
+    k, colsums, q = kernel_and_conditionals(y, student_spec, out=(k_buf, q_buf))
+
+    p_eff = p
+    if sup is not None and weight > 0:
+        p_eff = np.multiply(sup_targets, weight, out=e_buf)
+        p_eff += p
+
+    a = _dloss_dq(p_eff, q, g_buf)
+    t = np.einsum("rc,rc->c", a, q)
+    a -= t[None, :]
+    a /= colsums[None, :]
     np.fill_diagonal(a, 0.0)
-    w = a + a.T
+    w = np.add(a, a.T, out=e_buf)  # p_eff is not read again
 
     if student_spec.family == COSINE:
         norms = np.linalg.norm(y, axis=1)
         dens = np.maximum(norms, NORM_EPS)
         u = y / dens[:, None]
-        cos = 2.0 * k - 1.0          # k has a zeroed diagonal; w does too
+        cos = np.multiply(k, 2.0, out=k)  # k has a zeroed diagonal; w does too
+        cos -= 1.0
         coupled = np.einsum("mn,mn->m", w, cos)
         active = norms > NORM_EPS    # below the guard the norm is constant
         grad = (w @ u - np.where(active, coupled, 0.0)[:, None] * u) / (2.0 * dens[:, None])
     else:
-        wk = w * k
+        wk = np.multiply(w, k, out=w)
         row = wk.sum(axis=1)
         grad = (-2.0 / student_spec.width) * (row[:, None] * y - wk @ y)
+
+    # The value comes last, so that its gathered terms can use the buffers of k and a.
+    qc = np.clip(q, Q_FLOOR, 1.0, out=q)
+    value = _kl_of_clamped(p, qc, k_buf.ravel(), g_buf.ravel())
+    if sup is not None and weight > 0:
+        value += weight * _kl_of_clamped(sup_targets, qc, k_buf.ravel(), g_buf.ravel())
 
     return LossReport(value=value, grad_y=grad, n_pairs=n * (n - 1))

@@ -54,15 +54,18 @@ def _safe_norms(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(x, axis=-1), NORM_EPS)
 
 
-def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def kernel_matrix(x: np.ndarray, spec: KernelSpec, *, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Full N x N kernel matrix of the rows of ``x``, self-pairs included.
 
     The result is exactly symmetric: the raw Gram product is averaged
     with its transpose before any nonlinearity, so entry (i, j) and
-    entry (j, i) go through identical arithmetic.
+    entry (j, i) go through identical arithmetic.  It is written into
+    ``out``, a C-contiguous N x N float array, and ``scratch``, another
+    one, is overwritten on the way; both are new arrays when None.
     """
     rows, stats = _prepared_rows(x, spec)
-    return _kernel_of_rows(rows, stats, spec)
+    return _kernel_of_rows(rows, stats, spec, out=out, scratch=scratch)
 
 
 def _prepared_rows(x: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -90,15 +93,18 @@ def _row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Kernel matrix from prepared rows and their :func:`_row_stats`.
+def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
+                    out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix from prepared rows and their :func:`_row_stats`, written into ``out``.
 
     Cosine rows must already be divided by their norms; Gaussian rows are
-    the features themselves.
+    the features themselves.  ``scratch`` receives the symmetrized Gram
+    product on the way; both are new arrays when None.
     """
-    g = rows @ rows.T
-    g = (g + g.T) / 2.0
-    return _kernel_of_gram(g, stats, stats, spec)
+    g = np.matmul(rows, rows.T, out=out)
+    sym = np.add(g, g.T, out=scratch)
+    sym /= 2.0
+    return _kernel_of_gram(sym, stats, stats, spec, out=g)
 
 
 def _upper_block(rows: np.ndarray, stats: np.ndarray, lo: int, hi: int, spec: KernelSpec) -> np.ndarray:
@@ -113,9 +119,25 @@ def _upper_block(rows: np.ndarray, stats: np.ndarray, lo: int, hi: int, spec: Ke
     return _kernel_of_gram(rows[lo:hi] @ rows[lo:].T, stats[lo:hi], stats[lo:], spec)
 
 
-def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Kernel values from the Gram product ``g = a @ b.T`` of prepared rows and their statistics."""
+def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spec: KernelSpec, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel values from the Gram product ``g = a @ b.T`` of prepared rows and their statistics.
+
+    The values are written into ``out``: ``g`` itself when None for the
+    cosine kernel, a new array for the Gaussian.  ``g`` is overwritten.
+    Each step is one in-place pass in the order of
+    ``exp(-clip(sa + sb - 2g, 0) / width)`` and ``(clip(g, -1, 1) + 1) / 2``,
+    so the values are those of the expressions, NaN included.
+    """
     if spec.family == COSINE:
-        return (np.clip(g, -1.0, 1.0) + 1.0) / 2.0
-    d2 = np.clip(stats_a[:, None] + stats_b[None, :] - 2.0 * g, 0.0, None)
-    return np.exp(-d2 / spec.width)
+        k = np.clip(g, -1.0, 1.0, out=g if out is None else out)
+        k += 1.0
+        k /= 2.0
+        return k
+    d2 = np.add(stats_a[:, None], stats_b[None, :], out=out)
+    g *= 2.0
+    d2 -= g
+    np.maximum(d2, 0.0, out=d2)
+    np.negative(d2, out=d2)
+    d2 /= spec.width
+    return np.exp(d2, out=d2)

@@ -14,11 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _checked_layer_dims(layer_dims) -> list[int]:
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        raise ValueError("layer_dims needs at least [d_in, d_out], all positive")
+    return [int(d) for d in layer_dims]
+
+
 class StudentModel:
     def __init__(self, layer_dims: list[int], weights, biases):
-        if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-            raise ValueError("layer_dims needs at least [d_in, d_out], all positive")
-        self.layer_dims = list(int(d) for d in layer_dims)
+        self.layer_dims = _checked_layer_dims(layer_dims)
         n_layers = len(self.layer_dims) - 1
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
@@ -94,6 +98,7 @@ class StudentModel:
 
 def init_student(layer_dims: list[int], seed: int) -> StudentModel:
     """Glorot-uniform weights, zero biases, seeded."""
+    layer_dims = _checked_layer_dims(layer_dims)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):

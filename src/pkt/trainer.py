@@ -4,10 +4,10 @@ and student conditional matrices, analytic gradient, backprop, Adam.
 The teacher features are checked and reduced to one statistic per row
 (its norm for the cosine kernel, its squared norm for the Gaussian) once
 per run.  Each batch then gathers its B teacher rows and builds their
-conditionals from those statistics, so training holds O(N) statistics
-plus O(B*D) rows and O(B^2) matrices per batch, never a second N x D copy
-of the teacher, and matches the batch-wise estimation of the full
-similarity structure.  Class labels are only touched when
+conditionals from those statistics, so training holds O(N) statistics,
+O(B*D) rows per batch and one O(B^2) workspace per run, never a second
+N x D copy of the teacher, and matches the batch-wise estimation of the
+full similarity structure.  Class labels are only touched when
 ``sup_weight > 0``.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .affinity import _conditionals, sample_batch
 from .affinity import conditional_probabilities  # noqa: F401  (perfbench's tests read it from this module)
-from .divergence import pkt_loss_and_grad, supervised_targets
+from .divergence import LOSS_BUFFERS, pkt_loss_and_grad, supervised_targets
 from .kernels import COSINE, KernelSpec, _kernel_of_rows, _row_stats, cosine_kernel
 from .student import StudentModel, adam_step, init_adam
 
@@ -80,12 +80,16 @@ def _teacher_row_stats(teacher: np.ndarray, spec: KernelSpec, block: int) -> np.
 
 
 def _teacher_conditionals(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray,
-                          spec: KernelSpec) -> np.ndarray:
-    """``conditional_probabilities(teacher[idx], spec)``, from the cached row statistics."""
+                          spec: KernelSpec, *, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``conditional_probabilities(teacher[idx], spec)``, from the cached row statistics.
+
+    The result is written into ``out``; ``scratch`` holds the kernel on
+    the way.  Both are C-contiguous B x B float arrays.
+    """
     rows, batch_stats = teacher[idx], stats[idx]
     if spec.family == COSINE:
         rows /= batch_stats[:, None]
-    _, _, p = _conditionals(_kernel_of_rows(rows, batch_stats, spec))
+    _, _, p = _conditionals(_kernel_of_rows(rows, batch_stats, spec, out=scratch, scratch=out), out=out)
     return p
 
 
@@ -119,18 +123,28 @@ def train(
     teacher_stats = _teacher_row_stats(teacher_feats, cfg.teacher_spec, cfg.batch_size)
 
     state = init_adam(model.parameters(), lr=cfg.lr)
+    # Every B x B array of a batch lives in these buffers: the teacher's
+    # conditionals and their kernel scratch, which then holds the
+    # supervised targets, and the loss's own.  A tail batch of b < B rows
+    # uses the first b * b entries of each, as a C-contiguous b x b array.
+    side = min(cfg.batch_size, n)
+    workspace = [np.empty(side * side) for _ in range(2 + LOSS_BUFFERS)]
     trace: list[TraceEntry] = []
     for epoch in range(cfg.epochs):
         chunks = sample_batch(n, cfg.batch_size, cfg.seed, epoch)
         for b, idx in enumerate(chunks):
+            p_buf, t_buf = (buf[: idx.size * idx.size].reshape(idx.size, idx.size) for buf in workspace[:2])
             try:
-                p = _teacher_conditionals(teacher_feats, teacher_stats, idx, cfg.teacher_spec)
+                p = _teacher_conditionals(teacher_feats, teacher_stats, idx, cfg.teacher_spec,
+                                          out=p_buf, scratch=t_buf)
                 y = model.forward(raw_inputs[idx])
                 sup = None
                 if cfg.sup_weight > 0:
-                    targets = supervised_targets(labels[idx])
+                    targets = supervised_targets(labels[idx], out=t_buf)
                     sup = (targets, cfg.sup_weight)
-                report = pkt_loss_and_grad(y, p, cfg.student_spec, sup)
+                report = pkt_loss_and_grad(y, p, cfg.student_spec, sup, workspace=workspace[2:])
+                if not (np.isfinite(report.value) and np.all(np.isfinite(report.grad_y))):
+                    raise ValueError("the loss or its gradient is not finite")
                 adam_step(state, model.parameters(), model.backward(report.grad_y))
             except ValueError as exc:
                 raise BatchFailure(f"epoch {epoch} batch {b}: {exc}", trace) from exc

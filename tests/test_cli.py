@@ -132,6 +132,25 @@ def test_gradcheck_single_instance(capsys):
     assert float(capsys.readouterr().out.split()[-1]) < 1e-4
 
 
+@pytest.mark.parametrize("argv, message", [(["--n", "1"], "--n must be at least 2, got 1"),
+                                           (["--dim", "0"], "--dim must be at least 1, got 0"),
+                                           (["--n", "5", "--dim", "-2"], "--dim must be at least 1, got -2")])
+def test_gradcheck_rejects_too_few_samples_or_dimensions(capsys, argv, message):
+    rc = main(["gradcheck", *argv])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"pkt: {message}\n"
+    assert captured.out == ""
+
+
+def test_transfer_rejects_a_negative_layer_size(workdir, capsys):
+    rc = main(["transfer", "--input", str(workdir / "raw.txt"), "--teacher", str(workdir / "teacher.txt"),
+               "--arch", "2,-1", "--out", str(workdir / "m.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == "pkt: layer_dims needs at least [d_in, d_out], all positive\n"
+    assert not (workdir / "m.txt").exists()
+
+
 def test_gradcheck_detects_corruption(sign_flipped_gradient, capsys):
     rc = main(["gradcheck", "--seed", "0"])
     assert rc == 1

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pkt import (
     cosine_kernel,
@@ -9,6 +12,7 @@ from pkt import (
     pkt_loss_and_grad,
     supervised_targets,
 )
+from pkt.divergence import LOSS_BUFFERS, Q_FLOOR
 from pkt.gradcheck import finite_difference, max_relative_error, random_conditionals
 
 
@@ -164,3 +168,93 @@ def test_grad_input_validation():
     with pytest.raises(ValueError):
         pkt_loss_and_grad(y, random_conditionals(rng, 5), cosine_kernel(),
                           sup=(np.zeros((5, 5)), -0.5))
+
+
+def kl_loss_oracle(p, q):
+    """kl_loss as one boolean-gather expression."""
+    qc = np.clip(q, Q_FLOOR, 1.0)
+    mask = p > 0.0
+    np.fill_diagonal(mask, False)
+    return float(np.sum(p[mask] * np.log(p[mask] / qc[mask])))
+
+
+def supervised_targets_oracle(labels):
+    """supervised_targets written column by column over the slots that have partners."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    counts = same.sum(axis=0)
+    cols = np.where(counts > 0)[0]
+    targets = np.zeros(same.shape)
+    targets[:, cols] = same[:, cols] / counts[cols]
+    return targets
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_kl_loss_matches_the_gather_expression_bit_for_bit(data, n):
+    entries = st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1.0))
+    p = data.draw(hnp.arrays(float, (n, n), elements=entries))
+    q = data.draw(hnp.arrays(float, (n, n), elements=entries))
+    assert kl_loss(p, q).hex() == kl_loss_oracle(p, q).hex()
+
+
+@pytest.mark.parametrize("n", [128, 300])
+def test_kl_loss_gathers_in_blocks_without_changing_the_sum(n):
+    # at n = 300 the terms are gathered in six blocks of rows
+    rng = np.random.default_rng(n)
+    p = random_conditionals(rng, n)
+    p[rng.random((n, n)) < 0.3] = 0.0
+    q = random_conditionals(rng, n)
+    assert kl_loss(p, q).hex() == kl_loss_oracle(p, q).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=hnp.arrays(np.int64, st.integers(2, 12), elements=st.integers(0, 4)))
+def test_supervised_targets_into_out_match_the_column_expression(labels):
+    if np.unique(labels).size == labels.size:
+        return  # all singletons: raises, covered above
+    out = np.full((labels.size, labels.size), np.nan)
+    assert supervised_targets(labels, out=out) is out
+    expected = supervised_targets_oracle(labels).tobytes()
+    assert out.tobytes() == expected
+    assert supervised_targets(labels).tobytes() == expected
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
+@pytest.mark.parametrize("weight", [None, 0.3], ids=["plain", "sup"])
+@pytest.mark.parametrize("b", [24, 19], ids=["full", "tail"])
+def test_workspace_leaves_value_and_gradient_bit_identical(spec, weight, b):
+    big = 24  # the workspace is sized for 24 rows; a tail batch uses a prefix of each buffer
+    rng = np.random.default_rng(b)
+    y = rng.normal(size=(b, 3))
+    p = random_conditionals(rng, b)
+    sup = None if weight is None else (supervised_targets(rng.integers(0, 3, size=b)), weight)
+    workspace = [np.full(big * big, np.nan) for _ in range(LOSS_BUFFERS)]
+    fresh = pkt_loss_and_grad(y, p, spec, sup)
+    reused = pkt_loss_and_grad(y, p, spec, sup, workspace=workspace)
+    assert reused.value == fresh.value
+    assert reused.grad_y.tobytes() == fresh.grad_y.tobytes()
+    assert not any(np.shares_memory(reused.grad_y, buf) for buf in workspace)
+    again = pkt_loss_and_grad(y, p, spec, sup, workspace=workspace)  # stale contents are overwritten
+    assert again.value == fresh.value and again.grad_y.tobytes() == fresh.grad_y.tobytes()
+    q = conditional_probabilities(y, spec)
+    expected = kl_loss(p, q)
+    if sup is not None:
+        expected += weight * kl_loss(sup[0], q)
+    assert fresh.value == expected
+
+
+def test_workspace_validation():
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=(5, 2))
+    p = random_conditionals(rng, 5)
+    good = [np.empty(25) for _ in range(LOSS_BUFFERS)]
+    with pytest.raises(ValueError, match="needs 4 buffers"):
+        pkt_loss_and_grad(y, p, cosine_kernel(), workspace=good[:3])
+    with pytest.raises(ValueError, match="at least 25 entries"):
+        pkt_loss_and_grad(y, p, cosine_kernel(), workspace=[np.empty(24)] + good[1:])
+    with pytest.raises(ValueError, match="at least 25 entries"):
+        pkt_loss_and_grad(y, p, cosine_kernel(), workspace=[np.empty(25, dtype=np.float32)] + good[1:])
+    with pytest.raises(ValueError, match="share memory"):
+        pkt_loss_and_grad(y, p, cosine_kernel(), workspace=[p.ravel()] + good[1:])

@@ -12,6 +12,7 @@ from pkt import (
     gaussian_kernel,
     kernel_matrix,
 )
+from pkt.kernels import _kernel_of_gram
 from test_qmi import kernel_eval
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -108,3 +109,35 @@ def test_eval_dimension_mismatch():
         kernel_eval([1.0, 2.0], [1.0, 2.0, 3.0], cosine_kernel())
     with pytest.raises(ValueError):
         kernel_matrix(np.zeros(4), cosine_kernel())
+
+
+def kernel_of_gram_oracle(g, stats_a, stats_b, spec):
+    """The kernel core as one expression per family, each step a new array."""
+    if spec.family == COSINE:
+        return (np.clip(g, -1.0, 1.0) + 1.0) / 2.0
+    d2 = np.clip(stats_a[:, None] + stats_b[None, :] - 2.0 * g, 0.0, None)
+    return np.exp(-d2 / spec.width)
+
+
+EDGE_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308,
+                     np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 6),
+       spec=st.one_of(st.just(cosine_kernel()),
+                      st.sampled_from([5e-324, 1e-300, 1.0, 1e300]).map(gaussian_kernel),
+                      st.floats(1e-3, 1e3).map(gaussian_kernel)))
+def test_in_place_kernel_core_matches_the_expression_bit_for_bit(data, m, n, spec):
+    g = data.draw(hnp.arrays(float, (m, n), elements=EDGE_DOUBLES))
+    stats_a = data.draw(hnp.arrays(float, m, elements=EDGE_DOUBLES))
+    stats_b = data.draw(hnp.arrays(float, n, elements=EDGE_DOUBLES))
+    with np.errstate(all="ignore"):
+        expected = kernel_of_gram_oracle(g, stats_a, stats_b, spec).tobytes()
+        assert _kernel_of_gram(g.copy(), stats_a, stats_b, spec).tobytes() == expected
+        out = np.full((m, n), 7.0)
+        assert _kernel_of_gram(g.copy(), stats_a, stats_b, spec, out=out) is out
+        assert out.tobytes() == expected

@@ -134,6 +134,12 @@ def test_model_validation():
         StudentModel([2, 2], weights=[np.zeros((2, 3))], biases=[np.zeros(2)])
 
 
+@pytest.mark.parametrize("dims", [[2, -1], [2, 0], [3], [-2, 4, 1]])
+def test_init_student_checks_layer_dims_before_drawing(dims):
+    with pytest.raises(ValueError, match=r"^layer_dims needs at least \[d_in, d_out\], all positive$"):
+        init_student(dims, seed=0)
+
+
 def test_adam_first_step_is_signed_lr():
     model = init_student([4, 3], seed=2)
     params = model.parameters()

@@ -1,8 +1,14 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pkt.trainer
 from pkt import (
     StudentModel,
     TrainConfig,
@@ -137,8 +143,11 @@ def test_cached_teacher_conditionals_match_public_ones(spec, order):
     _, teacher, _ = small_problem(n=50, d_t=7)
     teacher = np.asarray(teacher, order=order)
     stats = _teacher_row_stats(teacher, spec, block=16)
-    for idx in sample_batch(50, 16, 0, 0):
-        cached = _teacher_conditionals(teacher, stats, idx, spec)
+    out, scratch = np.full(16 * 16, np.nan), np.full(16 * 16, np.nan)
+    for idx in sample_batch(50, 16, 0, 0):  # the last batch has 2 rows, written into a prefix of each buffer
+        b = idx.size
+        cached = _teacher_conditionals(teacher, stats, idx, spec, out=out[: b * b].reshape(b, b),
+                                       scratch=scratch[: b * b].reshape(b, b))
         assert cached.tobytes() == conditional_probabilities(teacher[idx], spec).tobytes()
 
 
@@ -189,3 +198,65 @@ def test_training_holds_no_copy_of_the_teacher():
     finally:
         tracemalloc.stop()
     assert peak < teacher.nbytes / 4
+
+
+def test_non_finite_loss_or_gradient_stops_the_run_before_the_step(monkeypatch):
+    real, calls = pkt.trainer.pkt_loss_and_grad, []
+
+    def poisoned(*args, **kwargs):
+        report = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            report.grad_y[0, 0] = np.nan
+        return report
+
+    monkeypatch.setattr(pkt.trainer, "pkt_loss_and_grad", poisoned)
+    raw, teacher, _ = small_problem()
+    model = init_student([6, 4], seed=0)
+    with pytest.raises(ValueError, match=r"^epoch 0 batch 2: the loss or its gradient is not finite$") as info:
+        train(model, raw, teacher, cfg=TrainConfig(epochs=2, batch_size=20, lr=1e-3))
+    assert [(e.epoch, e.batch) for e in info.value.trace] == [(0, 0), (0, 1)]
+    assert all(np.all(np.isfinite(p)) for p in model.parameters())
+
+    monkeypatch.setattr(pkt.trainer, "pkt_loss_and_grad",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), value=np.inf))
+    with pytest.raises(ValueError, match=r"^epoch 0 batch 0: the loss or its gradient is not finite$"):
+        train(init_student([6, 4], seed=0), raw, teacher, cfg=TrainConfig(batch_size=20))
+
+
+# Minor page faults per extra Gaussian + supervised batch at B = 512,
+# measured in a fresh interpreter: how much of a freed temporary glibc
+# keeps depends on everything the process allocated before, so an
+# in-process count would depend on which tests ran first.
+FAULTS_PER_BATCH = """
+import resource
+import numpy as np
+from pkt import TrainConfig, gaussian_kernel, init_student, train
+
+batch = 512
+rng = np.random.default_rng(0)
+raw, teacher = rng.normal(size=(10 * batch, 8)), rng.normal(size=(10 * batch, 16))
+labels = rng.integers(0, 10, size=10 * batch)
+cfg = TrainConfig(batch_size=batch, lr=1e-3, teacher_spec=gaussian_kernel(32.0),
+                  student_spec=gaussian_kernel(8.0), sup_weight=0.5)
+
+def minor_faults(batches):
+    rows = slice(0, batches * batch)
+    model = init_student([8, 4], seed=0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(model, raw[rows], teacher[rows], labels[rows], cfg)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+minor_faults(2)  # warm-up
+print((minor_faults(10) - minor_faults(2)) / 8)
+"""
+
+
+def test_gaussian_batches_take_no_fresh_pages():
+    # Every B x B array lives in one workspace per run, so a batch touches
+    # no page that an earlier batch of the run has not.  A freshly mapped
+    # B x B temporary costs 512 minor faults.
+    env = dict(os.environ, PYTHONPATH=str(Path(pkt.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_BATCH], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert float(proc.stdout) <= 200
