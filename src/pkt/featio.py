@@ -1,9 +1,16 @@
 """Decimal-text interchange files.
 
-Feature file: a header line ``n d`` followed by n lines of d
-space-separated decimals.  Label file: one nonnegative integer per
+Feature file: a header line ``n d`` followed by n lines of d values.
+Any whitespace separates values, and a value is any token Python's
+``float()`` accepts; non-finite values are rejected.  Blank lines are
+allowed only after the n rows.  Label file: one nonnegative integer per
 line.  Values are written with 17 significant digits, so a write/read
 round trip reproduces doubles exactly.
+
+``read_features`` streams the rows into numpy's C parser.  numpy accepts
+a subset of ``float()``'s tokens (not ``1_0`` or non-ASCII digits), so on
+any parse error or irregular shape the file is read again line by line,
+which returns the same array or names the offending line.
 """
 
 from __future__ import annotations
@@ -11,17 +18,49 @@ from __future__ import annotations
 import numpy as np
 
 
-def read_features(path) -> np.ndarray:
+class _Irregular(Exception):
+    """The data lines break a rule only the line loop reports (blank line, row count)."""
+
+
+def _read_header(path, fh) -> tuple[int, int]:
+    header = fh.readline().split()
+    if len(header) != 2:
+        raise ValueError(f"{path}: expected 'n d' header line")
+    try:
+        n, d = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"{path}: malformed header {header!r}") from None
+    if n < 1 or d < 1:
+        raise ValueError(f"{path}: header requires n, d >= 1")
+    return n, d
+
+
+def _data_lines(fh, n: int):
+    """Yield the n data lines; raise ``_Irregular`` on a blank one among them,
+    a non-blank one after them, or fewer than n lines."""
+    count = 0
+    for line in fh:
+        blank = not line.strip()
+        if count < n:
+            if blank:
+                raise _Irregular
+            count += 1
+            yield line
+        elif not blank:
+            raise _Irregular
+    if count < n:
+        raise _Irregular
+
+
+def _finite(path, data: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite value in feature data")
+    return data
+
+
+def _read_by_lines(path) -> np.ndarray:
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected 'n d' header line")
-        try:
-            n, d = int(header[0]), int(header[1])
-        except ValueError:
-            raise ValueError(f"{path}: malformed header {header!r}") from None
-        if n < 1 or d < 1:
-            raise ValueError(f"{path}: header requires n, d >= 1")
+        n, d = _read_header(path, fh)
         rows = []
         for i, line in enumerate(fh):
             toks = line.split()
@@ -29,13 +68,35 @@ def read_features(path) -> np.ndarray:
                 continue
             if len(toks) != d:
                 raise ValueError(f"{path}: line {i + 2} has {len(toks)} values, expected {d}")
-            rows.append([float(t) for t in toks])
+            row = []
+            for j, tok in enumerate(toks):
+                try:
+                    row.append(float(tok))
+                except ValueError:
+                    raise ValueError(f"{path}: line {i + 2}, column {j + 1}: {tok!r} is not a number") from None
+            rows.append(row)
     if len(rows) != n:
         raise ValueError(f"{path}: header promises {n} rows, found {len(rows)}")
-    data = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite value in feature data")
-    return data
+    return _finite(path, np.array(rows, dtype=float))
+
+
+def read_features(path) -> np.ndarray:
+    with open(path) as fh:
+        n, d = _read_header(path, fh)
+        try:
+            data = np.loadtxt(_data_lines(fh, n), dtype=float, comments=None, ndmin=2)
+        except (_Irregular, ValueError):
+            data = None
+    if data is None or data.shape != (n, d):
+        return _read_by_lines(path)
+    return _finite(path, data)
+
+
+def write_rows(fh, rows: np.ndarray) -> None:
+    """Write each row of a 2-D array as one line of ``%.17g`` values."""
+    fmt = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    for row in rows:
+        fh.write(fmt % tuple(row.tolist()))
 
 
 def write_features(path, feats: np.ndarray) -> None:
@@ -43,8 +104,7 @@ def write_features(path, feats: np.ndarray) -> None:
     n, d = feats.shape
     with open(path, "w") as fh:
         fh.write(f"{n} {d}\n")
-        for row in feats:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        write_rows(fh, feats)
 
 
 def read_labels(path) -> np.ndarray:

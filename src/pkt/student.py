@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .featio import write_rows
+
 
 def _checked_layer_dims(layer_dims) -> list[int]:
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
@@ -174,13 +176,11 @@ MODEL_HEADER = "PKT-MODEL v1"
 
 def save_model(model: StudentModel, path) -> None:
     """Decimal-text serialization, round-trip exact for doubles (17 significant digits)."""
-    lines = [MODEL_HEADER, "dims " + " ".join(str(d) for d in model.layer_dims)]
-    for w, b in zip(model.weights, model.biases):
-        for row in w:
-            lines.append(" ".join(f"{x:.17g}" for x in row))
-        lines.append(" ".join(f"{x:.17g}" for x in b))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{MODEL_HEADER}\ndims {' '.join(str(d) for d in model.layer_dims)}\n")
+        for w, b in zip(model.weights, model.biases):
+            write_rows(fh, w)
+            write_rows(fh, b[None, :])
 
 
 def load_model(path) -> StudentModel:

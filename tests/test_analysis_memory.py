@@ -1,7 +1,8 @@
 """Memory guards for corpus-scale analysis: no call holds an N x N matrix.
 
 At N = 3000 one N x N float64 matrix is 72 MB; each traced peak must stay
-below a quarter of that.
+below a quarter of that.  Reading a feature file holds little more than
+the array it returns, not a Python float per value.
 """
 
 import tracemalloc
@@ -16,6 +17,8 @@ from pkt import (
     gaussian_kernel,
     information_potentials,
     potential_equality_check,
+    read_features,
+    write_features,
 )
 
 N = 3000
@@ -48,3 +51,15 @@ def test_analysis_holds_no_n_by_n_matrix(name):
     finally:
         tracemalloc.stop()
     assert peak < BOUND
+
+
+def test_feature_read_holds_about_one_copy_of_the_array(tmp_path):
+    path = tmp_path / "f.txt"
+    write_features(path, rng.normal(size=(2000, 256)))
+    tracemalloc.start()
+    try:
+        data = read_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * data.nbytes

@@ -143,6 +143,13 @@ def test_gradcheck_rejects_too_few_samples_or_dimensions(capsys, argv, message):
     assert captured.out == ""
 
 
+def test_qmi_names_the_line_and_column_of_a_bad_token(workdir, capsys):
+    path = workdir / "bad.txt"
+    path.write_text("2 1\n1\nx\n")
+    assert main(["qmi", "--features", str(path), "--labels", str(workdir / "labels.txt")]) == 1
+    assert capsys.readouterr().err == f"pkt: {path}: line 3, column 1: 'x' is not a number\n"
+
+
 def test_transfer_rejects_a_negative_layer_size(workdir, capsys):
     rc = main(["transfer", "--input", str(workdir / "raw.txt"), "--teacher", str(workdir / "teacher.txt"),
                "--arch", "2,-1", "--out", str(workdir / "m.txt")])

@@ -250,6 +250,18 @@ def test_serialization_round_trip_is_bitwise_exact_on_drawn_doubles(model):
     assert [p.tobytes() for p in loaded.parameters()] == [p.tobytes() for p in model.parameters()]
 
 
+@settings(max_examples=60, deadline=None)
+@given(model=drawn_models())
+def test_saved_bytes_equal_the_per_value_format(model):
+    lines = ["PKT-MODEL v1", "dims " + " ".join(map(str, model.layer_dims))]
+    for w, b in zip(model.weights, model.biases):
+        lines += [" ".join(f"{x:.17g}" for x in row) for row in (*w, b)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        save_model(model, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_load_rejects_malformed_files(tmp_path):
     good = tmp_path / "good.txt"
     save_model(init_student([2, 2], seed=0), good)
