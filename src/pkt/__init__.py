@@ -36,7 +36,6 @@ from .retrieval import (
     average_precision_11pt,
     evaluate,
     rank,
-    top_k_precision,
 )
 from .student import (
     StudentModel,
@@ -83,7 +82,6 @@ __all__ = [
     "sample_batch",
     "save_model",
     "supervised_targets",
-    "top_k_precision",
     "train",
     "write_features",
     "write_labels",

@@ -58,6 +58,19 @@ def _finite(path, data: np.ndarray) -> np.ndarray:
     return data
 
 
+def parse_row(path, line_no: int, toks: list[str], d: int) -> list[float]:
+    """The d values of text line ``line_no``, split into ``toks``; an error names the file, line and column."""
+    if len(toks) != d:
+        raise ValueError(f"{path}: line {line_no} has {len(toks)} values, expected {d}")
+    row = []
+    for j, tok in enumerate(toks):
+        try:
+            row.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}, column {j + 1}: {tok!r} is not a number") from None
+    return row
+
+
 def _read_by_lines(path) -> np.ndarray:
     with open(path) as fh:
         n, d = _read_header(path, fh)
@@ -66,15 +79,7 @@ def _read_by_lines(path) -> np.ndarray:
             toks = line.split()
             if not toks and i >= n:
                 continue
-            if len(toks) != d:
-                raise ValueError(f"{path}: line {i + 2} has {len(toks)} values, expected {d}")
-            row = []
-            for j, tok in enumerate(toks):
-                try:
-                    row.append(float(tok))
-                except ValueError:
-                    raise ValueError(f"{path}: line {i + 2}, column {j + 1}: {tok!r} is not a number") from None
-            rows.append(row)
+            rows.append(parse_row(path, i + 2, toks, d))
     if len(rows) != n:
         raise ValueError(f"{path}: header promises {n} rows, found {len(rows)}")
     return _finite(path, np.array(rows, dtype=float))

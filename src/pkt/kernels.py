@@ -119,6 +119,23 @@ def _upper_block(rows: np.ndarray, stats: np.ndarray, lo: int, hi: int, spec: Ke
     return _kernel_of_gram(rows[lo:hi] @ rows[lo:].T, stats[lo:hi], stats[lo:], spec)
 
 
+def _kernel_tile(rows: np.ndarray, stats: np.ndarray, rs: slice, cs: slice, spec: KernelSpec,
+                 gram: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``K[rs, cs]`` of prepared rows and their :func:`_row_stats`, in caller-owned buffers.
+
+    ``gram`` and ``out`` are flat float buffers of at least the tile's
+    size; the Gram product goes into ``gram`` and the kernel values,
+    returned as a view, into ``out``.  The arithmetic is that of
+    :func:`_upper_block`, but BLAS may round an entry of a tile-sized
+    product differently from the same entry of a block-wide one, so a
+    value can differ from the block's in its last bits.
+    """
+    shape = (rs.stop - rs.start, cs.stop - cs.start)
+    size = shape[0] * shape[1]
+    g = np.matmul(rows[rs], rows[cs].T, out=gram[:size].reshape(shape))
+    return _kernel_of_gram(g, stats[rs], stats[cs], spec, out=out[:size].reshape(shape))
+
+
 def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spec: KernelSpec, *,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values from the Gram product ``g = a @ b.T`` of prepared rows and their statistics.

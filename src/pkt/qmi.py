@@ -9,8 +9,9 @@ No function here builds the N x N kernel matrix.  Cosine potentials
 come in closed form from the class sums of the unit rows, in O(N*D)
 memory; Gaussian potentials and the equality check sum exact kernel
 values over the upper triangle one block of ``BLOCK`` rows at a
-time, in O(BLOCK*N) memory.  C classes add at most the O(C*D) class
-sums of the cosine form.
+time, in O(BLOCK*N) memory; the equality check walks each block in
+tiles of ``TILE`` columns, in O(BLOCK*TILE) memory.  C classes add at
+most the O(C*D) class sums of the cosine form.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import COSINE, KernelSpec, _prepared_rows, _upper_block
+from .kernels import COSINE, KernelSpec, _kernel_tile, _prepared_rows, _upper_block
 
 # Rows per block of the blocked kernel sums: a block holds at most BLOCK x N kernel values.
 BLOCK = 128
+# Columns per tile of the equality check: a tile holds at most BLOCK x TILE kernel values.
+TILE = 256
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def potential_equality_check(
     spec_s: KernelSpec,
     tol: float,
 ) -> EqualityReport:
-    """Max over all pairs of ``|K_t(x_i, x_j) - K_s(y_i, y_j)|``, in O(BLOCK*N) memory.
+    """Max over all pairs of ``|K_t(x_i, x_j) - K_s(y_i, y_j)|``, in O(BLOCK*TILE) memory.
 
     When the deviation stays within ``tol``, every information potential
     of the two embeddings agrees within ``tol`` as well for any labeling
@@ -120,12 +123,17 @@ def potential_equality_check(
         raise ValueError("teacher and student must embed the same samples")
     if teacher.shape[0] == 0:
         raise ValueError("no samples to compare")
+    n = teacher.shape[0]
     t_rows, t_stats = _prepared_rows(teacher, spec_t)
     s_rows, s_stats = _prepared_rows(student, spec_s)
+    gram, k_t, k_s = (np.empty(BLOCK * TILE) for _ in range(3))
     worst = 0.0
-    for lo in range(0, teacher.shape[0], BLOCK):
-        dev = _upper_block(t_rows, t_stats, lo, lo + BLOCK, spec_t)
-        dev -= _upper_block(s_rows, s_stats, lo, lo + BLOCK, spec_s)
-        worst = np.maximum(worst, np.abs(dev, out=dev).max())  # np.maximum keeps a NaN
+    for lo in range(0, n, BLOCK):
+        rs = slice(lo, min(lo + BLOCK, n))
+        for c_lo in range(lo, n, TILE):  # the columns of _upper_block(lo, lo + BLOCK)
+            cs = slice(c_lo, min(c_lo + TILE, n))
+            dev = _kernel_tile(t_rows, t_stats, rs, cs, spec_t, gram, k_t)
+            dev -= _kernel_tile(s_rows, s_stats, rs, cs, spec_s, gram, k_s)
+            worst = np.maximum(worst, np.abs(dev, out=dev).max())  # np.maximum keeps a NaN
     max_dev = float(worst)
     return EqualityReport(max_deviation=max_dev, within_tol=max_dev <= tol, tol=tol)

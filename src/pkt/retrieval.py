@@ -5,11 +5,15 @@ Relevance is exact label equality.  Queries with no relevant database
 item have undefined AP; they are excluded from every mean and counted
 in the result.
 
-``evaluate`` normalizes the database and the queries once and ranks
+``evaluate`` normalizes the database and the queries once and scores
 ``QUERY_BLOCK`` queries per matrix product, so it needs
 O(QUERY_BLOCK * N) memory for N database rows, never a queries x N
-matrix.  ``rank`` and ``average_precision_11pt`` are the one-query case
-of the same code.
+matrix.  AP and top-k need only the rank of each relevant item, so
+``evaluate`` sorts one copy of each query's keys and finds each hit's
+rank by binary search; only a row with a tie, a signed-zero pair or a
+NaN is arg-sorted, stably.  ``rank`` returns the full order of one
+query, and ``average_precision_11pt`` scores one ranked list, with the
+same AP code as ``evaluate``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / _safe_norms(x)[:, None]
 
 
+def _strictly_increasing(sorted_keys: np.ndarray) -> np.ndarray:
+    """Per row of ascending keys, whether no two are equal and none is NaN: the order is then the only one."""
+    return np.all(sorted_keys[:, 1:] > sorted_keys[:, :-1], axis=1)
+
+
 def _rank_rows(db_unit: np.ndarray, queries_unit: np.ndarray) -> np.ndarray:
     """Per query row, database indices by descending cosine; ties broken by ascending index.
 
@@ -63,8 +72,7 @@ def _rank_rows(db_unit: np.ndarray, queries_unit: np.ndarray) -> np.ndarray:
     keys = queries_unit @ db_unit.T
     np.negative(keys, out=keys)
     order = np.argsort(keys, axis=1)
-    ranked = np.take_along_axis(keys, order, axis=1)
-    unsure = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
+    unsure = ~_strictly_increasing(np.take_along_axis(keys, order, axis=1))
     if unsure.any():
         order[unsure] = np.argsort(keys[unsure], axis=1, kind="stable")
     return order
@@ -78,25 +86,52 @@ def rank(index: RetrievalIndex, query: np.ndarray) -> np.ndarray:
     return _rank_rows(_unit_rows(index.db_feats), _unit_rows(query[None, :]))[0]
 
 
-def _ap_11pt_rows(rel: np.ndarray, n_rel: np.ndarray) -> np.ndarray:
-    """:func:`average_precision_11pt` of each row of a ranked relevance matrix.
+def _hit_ranks(keys: np.ndarray, relevant: np.ndarray, sorted_keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0-based rank of each relevant item in the stable ascending order of its row of ``keys``.
 
-    Only the hits matter.  The cutoffs reaching a recall level are those
-    from the k-th hit on, for the least k with ``10 * k >= level * n_rel``,
+    The ranks are written row after row, ascending within a row, into
+    the flat buffer ``out``; the filled prefix is returned.
+    ``sorted_keys``, shaped like ``keys``, is overwritten with each row
+    sorted.  A row whose sorted keys strictly increase has one order,
+    so a hit's rank is the position of its key there; any other row is
+    arg-sorted stably, as in :func:`_rank_rows`.
+    """
+    np.copyto(sorted_keys, keys)
+    sorted_keys.sort(axis=1)
+    sure = _strictly_increasing(sorted_keys)
+    end = 0
+    for i in range(keys.shape[0]):
+        if sure[i]:
+            hit_keys = keys[i][relevant[i]]
+            hit_keys.sort()
+            hits = np.searchsorted(sorted_keys[i], hit_keys)
+        else:
+            hits = np.flatnonzero(relevant[i][np.argsort(keys[i], kind="stable")])
+        out[end : end + hits.size] = hits
+        end += hits.size
+    return out[:end]
+
+
+def _ap_11pt_rows(rows: np.ndarray, ranks: np.ndarray, n_rel: np.ndarray) -> np.ndarray:
+    """:func:`average_precision_11pt` of each ranked list, from its hits alone.
+
+    Hit h lies in list ``rows[h]`` at 0-based rank ``ranks[h]``; rows
+    ascend, and ranks ascend within a row.  ``n_rel`` holds each list's
+    relevant total.  The cutoffs reaching a recall level are those from
+    the k-th hit on, for the least k with ``10 * k >= level * n_rel``,
     and between hits precision only falls, so the best precision over
     them is the suffix maximum of ``k / rank of the k-th hit`` taken
     from that k; a level whose k exceeds the row's hit count is never
     reached and adds 0.
     """
-    rows, cols = np.nonzero(rel)
-    n_hits = np.bincount(rows, minlength=rel.shape[0])
+    n_hits = np.bincount(rows, minlength=n_rel.size)
     width = int(n_hits.max(initial=0))
-    total = np.zeros(rel.shape[0])
+    total = np.zeros(n_rel.size)
     if width == 0:
         return total
     nth_hit = np.arange(1, rows.size + 1) - (np.cumsum(n_hits) - n_hits)[rows]
-    best = np.zeros((rel.shape[0], width))
-    best[rows, nth_hit - 1] = nth_hit / (cols + 1)
+    best = np.zeros((n_rel.size, width))
+    best[rows, nth_hit - 1] = nth_hit / (ranks + 1)
     best = np.maximum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
     first = np.searchsorted(10 * np.arange(1, width + 1), np.arange(11) * n_rel[:, None])
     at_first = np.take_along_axis(best, np.minimum(first, width - 1), axis=1)
@@ -117,17 +152,10 @@ def average_precision_11pt(ranked_relevance, n_relevant_total: int) -> float:
     rel = np.asarray(ranked_relevance, dtype=bool)
     if n_relevant_total < 1:
         raise ValueError("n_relevant_total must be at least 1")
-    if np.count_nonzero(rel) > n_relevant_total:
+    ranks = np.flatnonzero(rel)
+    if ranks.size > n_relevant_total:
         raise ValueError("relevance list contains more hits than n_relevant_total")
-    return float(_ap_11pt_rows(rel[None, :], np.array([n_relevant_total]))[0])
-
-
-def top_k_precision(ranked_relevance, k: int) -> float:
-    """Fraction of relevant items among the first k ranked results."""
-    rel = np.asarray(ranked_relevance, dtype=bool)
-    if k < 1 or k > rel.size:
-        raise ValueError(f"k={k} out of range for a list of {rel.size}")
-    return float(rel[:k].sum()) / k
+    return float(_ap_11pt_rows(np.zeros_like(ranks), ranks, np.array([n_relevant_total]))[0])
 
 
 def evaluate(
@@ -155,6 +183,9 @@ def evaluate(
 
     db_unit = _unit_rows(index.db_feats)
     queries_unit = _unit_rows(queries)
+    n = db_unit.shape[0]
+    size = min(QUERY_BLOCK, queries.shape[0]) * n
+    keys_buf, sorted_buf, ranks_buf = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
     aps: list[float] = []
     topk_sums = {k: 0.0 for k in ks}
     n_skipped = 0
@@ -166,11 +197,16 @@ def evaluate(
         n_skipped += int(np.count_nonzero(~kept))
         if not kept.any():
             continue
-        order = _rank_rows(db_unit, queries_unit[lo : lo + QUERY_BLOCK][kept])
-        rel = np.take_along_axis(relevant[kept], order, axis=1)
-        aps.extend(_ap_11pt_rows(rel, n_rel[kept]).tolist())
+        relevant, n_rel = relevant[kept], n_rel[kept]
+        m = n_rel.size
+        keys = np.matmul(queries_unit[lo : lo + QUERY_BLOCK][kept], db_unit.T,
+                         out=keys_buf[: m * n].reshape(m, n))
+        np.negative(keys, out=keys)
+        ranks = _hit_ranks(keys, relevant, sorted_buf[: m * n].reshape(m, n), ranks_buf)
+        rows = np.repeat(np.arange(m), n_rel)  # every relevant item is a hit
+        aps.extend(_ap_11pt_rows(rows, ranks, n_rel).tolist())
         for k in ks:
-            for precision in (np.count_nonzero(rel[:, :k], axis=1) / k).tolist():  # query order
+            for precision in (np.bincount(rows[ranks < k], minlength=m) / k).tolist():  # query order
                 topk_sums[k] += precision
 
     if not aps:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .featio import write_rows
+from .featio import parse_row, write_rows
 
 
 def _checked_layer_dims(layer_dims) -> list[int]:
@@ -184,30 +184,43 @@ def save_model(model: StudentModel, path) -> None:
 
 
 def load_model(path) -> StudentModel:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read a :func:`save_model` file.
+
+    Every error names the file, and a bad or non-finite value also its
+    line and column.  Blank lines may follow the last layer block;
+    anything else there is rejected.
+    """
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     if not lines or lines[0] != MODEL_HEADER:
-        raise ValueError(f"not a {MODEL_HEADER} file: {path}")
+        raise ValueError(f"{path}: not a {MODEL_HEADER} file")
     if len(lines) < 2 or not lines[1].startswith("dims "):
-        raise ValueError("missing dims line")
-    dims = [int(tok) for tok in lines[1].split()[1:]]
-    if len(dims) < 2:
-        raise ValueError("dims line needs at least two entries")
+        raise ValueError(f"{path}: missing dims line")
+    dims = []
+    for j, tok in enumerate(lines[1].split()[1:]):
+        try:
+            dims.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{path}: line 2, column {j + 2}: {tok!r} is not an integer") from None
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"{path}: dims line needs at least two entries, all positive")
     pos = 2
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        block = lines[pos : pos + fan_in + 1]
-        if len(block) != fan_in + 1:
-            raise ValueError("model file truncated")
-        w = np.array([[float(tok) for tok in ln.split()] for ln in block[:fan_in]])
-        b = np.array([float(tok) for tok in block[fan_in].split()])
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ValueError("layer block does not match dims")
-        weights.append(w)
-        biases.append(b)
+        if len(lines) < pos + fan_in + 1:
+            raise ValueError(f"{path}: model file truncated")
+        block = np.array([parse_row(path, i + 1, lines[i].split(), fan_out) for i in range(pos, pos + fan_in + 1)])
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"{path}: line {pos + i + 1}, column {j + 1}: "
+                             f"non-finite value {lines[pos + i].split()[j]!r}")
+        weights.append(block[:fan_in])
+        biases.append(block[fan_in])
         pos += fan_in + 1
     if any(ln.strip() for ln in lines[pos:]):
-        raise ValueError("trailing data after the last layer block")
-    if not all(np.all(np.isfinite(a)) for a in weights + biases):
-        raise ValueError("model file contains non-finite weights")
+        raise ValueError(f"{path}: trailing data after the last layer block")
     return StudentModel(dims, weights, biases)

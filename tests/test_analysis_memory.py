@@ -1,8 +1,9 @@
 """Memory guards for corpus-scale analysis: no call holds an N x N matrix.
 
 At N = 3000 one N x N float64 matrix is 72 MB; each traced peak must stay
-below a quarter of that.  Reading a feature file holds little more than
-the array it returns, not a Python float per value.
+below a quarter of that.  The equality check holds only its prepared
+rows and three tiles, whatever N.  Reading a feature file holds little
+more than the array it returns, not a Python float per value.
 """
 
 import tracemalloc
@@ -20,6 +21,7 @@ from pkt import (
     read_features,
     write_features,
 )
+from pkt.qmi import BLOCK, TILE
 
 N = 3000
 BOUND = N * N * 8 / 4
@@ -51,6 +53,22 @@ def test_analysis_holds_no_n_by_n_matrix(name):
     finally:
         tracemalloc.stop()
     assert peak < BOUND
+
+
+@pytest.mark.parametrize("family", ["cosine", "gaussian"])
+@pytest.mark.parametrize("n", [3000, 6000])
+def test_equality_check_holds_three_tiles(n, family):
+    spec = cosine_kernel() if family == "cosine" else gaussian_kernel(8.0)
+    teacher = np.random.default_rng(n).normal(size=(n, 16))
+    student = 2.0 * teacher
+    tracemalloc.start()
+    try:
+        potential_equality_check(teacher, student, spec, spec, tol=1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the prepared copies of both inputs, the tiles, and 256 KB for everything else
+    assert peak <= 2 * teacher.nbytes + 3 * BLOCK * TILE * 8 + 256 * 1024
 
 
 def test_feature_read_holds_about_one_copy_of_the_array(tmp_path):

@@ -150,6 +150,15 @@ def test_qmi_names_the_line_and_column_of_a_bad_token(workdir, capsys):
     assert capsys.readouterr().err == f"pkt: {path}: line 3, column 1: 'x' is not a number\n"
 
 
+def test_embed_names_the_line_and_column_of_a_bad_weight(workdir, capsys):
+    model = workdir / "m.txt"
+    model.write_text("PKT-MODEL v1\ndims 1 2\n0.5 abc\n0 0\n")
+    rc = main(["embed", "--model", str(model), "--input", str(workdir / "raw.txt"), "--out", str(workdir / "e.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"pkt: {model}: line 3, column 2: 'abc' is not a number\n"
+    assert not (workdir / "e.txt").exists()
+
+
 def test_transfer_rejects_a_negative_layer_size(workdir, capsys):
     rc = main(["transfer", "--input", str(workdir / "raw.txt"), "--teacher", str(workdir / "teacher.txt"),
                "--arch", "2,-1", "--out", str(workdir / "m.txt")])

@@ -10,8 +10,8 @@ from pkt import (
     average_precision_11pt,
     evaluate,
     rank,
-    top_k_precision,
 )
+from pkt.retrieval import QUERY_BLOCK
 
 
 def naive_ap(rel, n_rel):
@@ -61,16 +61,6 @@ def test_ap_validation():
         average_precision_11pt([1, 0], 0)
     with pytest.raises(ValueError):
         average_precision_11pt([1, 1, 1], 2)
-
-
-def test_top_k_precision():
-    assert top_k_precision([1, 0, 1], 2) == 0.5
-    assert top_k_precision([1, 1, 0], 2) == 1.0
-    assert top_k_precision([0, 0, 0], 3) == 0.0
-    with pytest.raises(ValueError):
-        top_k_precision([1, 0], 3)
-    with pytest.raises(ValueError):
-        top_k_precision([1, 0], 0)
 
 
 def test_rank_uses_cosine_not_magnitude():
@@ -200,8 +190,56 @@ def test_exact_ties_follow_the_stable_order(case):
     for k in ks:
         total = 0.0
         for rel in kept:  # in query order, across both query blocks
-            total += top_k_precision(rel, k)
+            total += float(rel[:k].sum()) / k
         assert result.top_k[k] == total / len(kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), n_db=st.integers(1, 11),
+       distinct=st.booleans(), n_q=st.integers(QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 20), classes=st.integers(1, 3))
+def test_evaluate_equals_the_ranked_oracle_exactly(seed, dim, n_db, distinct, n_q, classes):
+    # Each database row is a scaled +-e_k or a zero row, with +-0.0 in its
+    # other entries, so every cosine is exactly a query coordinate or a
+    # zero, whatever the product's summation order.  Directions drawn
+    # without repeats and queries without zero coordinates give rows of
+    # distinct keys; a repeated direction, a zeroed query coordinate or a
+    # zero query gives tied ones, so sure and unsure rows share a block.
+    rng = np.random.default_rng(seed)
+    if distinct:
+        n_db = min(n_db, 2 * dim + 1)
+    direction = rng.choice(2 * dim + 1, size=n_db, replace=not distinct)  # 2 * dim: the zero row
+    db = rng.choice([-0.0, 0.0], size=(n_db, dim))
+    axis_rows = np.flatnonzero(direction < 2 * dim)
+    signs = np.where(direction[axis_rows] % 2 == 0, 1.0, -1.0)
+    db[axis_rows, direction[axis_rows] // 2] = signs * rng.uniform(0.5, 3.0, size=axis_rows.size)
+    queries = rng.normal(size=(n_q, dim))
+    zeroed = rng.random((n_q, dim)) < 0.15
+    queries[zeroed] = rng.choice([-0.0, 0.0], size=int(zeroed.sum()))
+    queries[rng.random(n_q) < 0.05] = 0.0
+    db_labels, q_labels = rng.integers(0, classes, size=n_db), rng.integers(0, classes + 1, size=n_q)
+    ks = [*rng.integers(1, n_db + 1, size=2).tolist(), n_db]
+    index = RetrievalIndex(db, db_labels)
+    result = evaluate(index, queries, q_labels, ks)
+
+    aps, kept = [], []
+    for q, lab in zip(queries, q_labels):
+        n_rel = int(np.count_nonzero(db_labels == lab))
+        if n_rel:
+            rel = db_labels[rank(index, q)] == lab
+            aps.append(average_precision_11pt(rel, n_rel))
+            kept.append(rel)
+    assert result.per_query_ap == aps
+    assert result.n_skipped == n_q - len(aps)
+    if not aps:
+        assert math.isnan(result.map)
+        return
+    assert result.map == float(np.mean(aps))
+    assert list(result.top_k) == list(dict.fromkeys(ks))
+    for k in result.top_k:
+        total = 0.0
+        for rel in kept:  # in query order
+            total += float(rel[:k].sum()) / k
+        assert result.top_k[k] == total / len(aps)
 
 
 def test_rank_is_stable_among_tied_rows():

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -297,3 +298,80 @@ def test_load_rejects_trailing_data_and_non_finite_weights(tmp_path):
     # blank lines after the last layer are not data
     bad.write_text("\n".join(lines) + "\n\n")
     assert load_model(bad).layer_dims == [2, 3]
+
+
+def _saved_lines(tmp_path, dims=(2, 3)):
+    good = tmp_path / "good.txt"
+    save_model(init_student(list(dims), seed=0), good)
+    return good.read_text().splitlines()
+
+
+def test_a_bad_token_names_the_file_line_and_column(tmp_path):
+    lines = _saved_lines(tmp_path)
+    bad = tmp_path / "bad.txt"
+    row = lines[2].split()
+    row[1] = "abc"
+    bad.write_text("\n".join(lines[:2] + [" ".join(row)] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 3, column 2: 'abc' is not a number$"):
+        load_model(bad)
+    bad.write_text("\n".join([lines[0], "dims 3 x"] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 2, column 3: 'x' is not an integer$"):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["SOMETHING ELSE"] + lines[1:], "not a PKT-MODEL v1 file"),
+    (lambda lines: lines[:1], "missing dims line"),
+    (lambda lines: [lines[0], "dims 2"] + lines[2:], "dims line needs at least two entries, all positive"),
+    (lambda lines: [lines[0], "dims 2 0"] + lines[2:], "dims line needs at least two entries, all positive"),
+    (lambda lines: lines[:-1], "model file truncated"),
+    (lambda lines: lines[:2] + [lines[2] + " 1"] + lines[3:], "line 3 has 4 values, expected 3"),
+    (lambda lines: lines[:4] + ["0 nan 0"], "line 5, column 2: non-finite value 'nan'"),
+    (lambda lines: lines + ["", "1"], "trailing data after the last layer block"),
+])
+def test_every_load_error_names_the_file(tmp_path, edit, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(edit(_saved_lines(tmp_path))) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{bad}: {message}')}$"):
+        load_model(bad)
+
+
+def test_a_file_that_is_not_text_names_the_file(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"PKT-MODEL v1\ndims 1 1\n\xff\n0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*can't decode byte 0xff"):
+        load_model(bad)
+
+
+NON_FINITE_TOKENS = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=drawn_models(), data=st.data(), token=NON_FINITE_TOKENS)
+def test_load_rejects_a_non_finite_value_anywhere(model, data, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        line = data.draw(st.integers(2, len(lines) - 1))
+        row = lines[line].split()
+        column = data.draw(st.integers(0, len(row) - 1))
+        row[column] = token
+        lines[line] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"{path}: line {line + 1}, column {column + 1}: non-finite value {token!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            load_model(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=drawn_models(), blank=st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=3),
+       junk=st.text(st.characters(min_codepoint=1, max_codepoint=127), min_size=1).filter(str.strip))
+def test_load_rejects_any_non_blank_trailing_data(model, blank, junk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        save_model(model, path)
+        with open(path, "a") as fh:
+            fh.write("".join(line + "\n" for line in blank) + junk + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: trailing data after the last layer block')}$"):
+            load_model(path)
