@@ -46,7 +46,7 @@ def kernel_and_conditionals(
     receive ``k`` and ``q``; by default both are new.
     """
     k_out, q_out = (None, None) if out is None else out
-    return _conditionals(kernel_matrix(_checked_features(feats), spec, out=k_out, scratch=q_out), out=q_out)
+    return _conditionals(kernel_matrix(_checked_features(feats), spec, out=k_out), out=q_out)
 
 
 def _conditionals(k: np.ndarray, *, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import kernel_and_conditionals
-from .kernels import COSINE, NORM_EPS, KernelSpec
+from .kernels import COSINE, NORM_EPS, KernelSpec, _upper_tiles
 
 # Floor applied to student conditionals inside the log; far below any
 # conditional reachable with cosine kernels at trainable batch sizes.
@@ -181,7 +181,11 @@ def pkt_loss_and_grad(
     a -= t[None, :]
     a /= colsums[None, :]
     np.fill_diagonal(a, 0.0)
-    w = np.add(a, a.T, out=e_buf)  # p_eff is not read again
+    w = e_buf  # p_eff is not read again
+    for rs, cs in _upper_tiles(n):
+        np.add(a[rs, cs], a[cs, rs].T, out=w[rs, cs])
+        if cs.start > rs.start:
+            w[cs, rs] = w[rs, cs].T
 
     if student_spec.family == COSINE:
         norms = np.linalg.norm(y, axis=1)

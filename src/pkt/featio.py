@@ -86,14 +86,17 @@ def _read_by_lines(path) -> np.ndarray:
 
 
 def read_features(path) -> np.ndarray:
-    with open(path) as fh:
-        n, d = _read_header(path, fh)
-        try:
-            data = np.loadtxt(_data_lines(fh, n), dtype=float, comments=None, ndmin=2)
-        except (_Irregular, ValueError):
-            data = None
-    if data is None or data.shape != (n, d):
-        return _read_by_lines(path)
+    try:
+        with open(path) as fh:
+            n, d = _read_header(path, fh)
+            try:
+                data = np.loadtxt(_data_lines(fh, n), dtype=float, comments=None, ndmin=2)
+            except (_Irregular, ValueError):
+                data = None
+        if data is None or data.shape != (n, d):
+            return _read_by_lines(path)
+    except UnicodeDecodeError as err:  # a ValueError that does not name the file
+        raise ValueError(f"{path}: {err}") from None
     return _finite(path, data)
 
 

@@ -79,7 +79,14 @@ def _rank_rows(db_unit: np.ndarray, queries_unit: np.ndarray) -> np.ndarray:
 
 
 def rank(index: RetrievalIndex, query: np.ndarray) -> np.ndarray:
-    """Database indices by descending cosine similarity; ties broken by ascending index."""
+    """Database indices by descending cosine similarity; ties broken by ascending index.
+
+    The query is scored with a 1 x D product.  BLAS may round its last
+    bits differently from the block product :func:`evaluate` scores a
+    query with, so two near-tied items can come out in the other order;
+    ``rank`` is an exact oracle for ``evaluate`` only where the cosines
+    are exact.
+    """
     query = np.asarray(query, dtype=float)
     if query.shape != (index.db_feats.shape[1],):
         raise ValueError(f"query dim {query.shape} does not match database dim {index.db_feats.shape[1]}")

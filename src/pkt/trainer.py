@@ -80,16 +80,17 @@ def _teacher_row_stats(teacher: np.ndarray, spec: KernelSpec, block: int) -> np.
 
 
 def _teacher_conditionals(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray,
-                          spec: KernelSpec, *, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+                          spec: KernelSpec, *, out: np.ndarray) -> np.ndarray:
     """``conditional_probabilities(teacher[idx], spec)``, from the cached row statistics.
 
-    The result is written into ``out``; ``scratch`` holds the kernel on
-    the way.  Both are C-contiguous B x B float arrays.
+    The kernel is built in ``out``, a C-contiguous B x B float array, and
+    normalized there in place.
     """
     rows, batch_stats = teacher[idx], stats[idx]
     if spec.family == COSINE:
         rows /= batch_stats[:, None]
-    _, _, p = _conditionals(_kernel_of_rows(rows, batch_stats, spec, out=scratch, scratch=out), out=out)
+    k = _kernel_of_rows(rows, batch_stats, spec, out=out)
+    _, _, p = _conditionals(k, out=k)
     return p
 
 
@@ -124,9 +125,9 @@ def train(
 
     state = init_adam(model.parameters(), lr=cfg.lr)
     # Every B x B array of a batch lives in these buffers: the teacher's
-    # conditionals and their kernel scratch, which then holds the
-    # supervised targets, and the loss's own.  A tail batch of b < B rows
-    # uses the first b * b entries of each, as a C-contiguous b x b array.
+    # conditionals, the supervised targets and the loss's own.  A tail
+    # batch of b < B rows uses the first b * b entries of each, as a
+    # C-contiguous b x b array.
     side = min(cfg.batch_size, n)
     workspace = [np.empty(side * side) for _ in range(2 + LOSS_BUFFERS)]
     trace: list[TraceEntry] = []
@@ -135,8 +136,7 @@ def train(
         for b, idx in enumerate(chunks):
             p_buf, t_buf = (buf[: idx.size * idx.size].reshape(idx.size, idx.size) for buf in workspace[:2])
             try:
-                p = _teacher_conditionals(teacher_feats, teacher_stats, idx, cfg.teacher_spec,
-                                          out=p_buf, scratch=t_buf)
+                p = _teacher_conditionals(teacher_feats, teacher_stats, idx, cfg.teacher_spec, out=p_buf)
                 y = model.forward(raw_inputs[idx])
                 sup = None
                 if cfg.sup_weight > 0:

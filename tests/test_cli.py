@@ -150,6 +150,18 @@ def test_qmi_names_the_line_and_column_of_a_bad_token(workdir, capsys):
     assert capsys.readouterr().err == f"pkt: {path}: line 3, column 1: 'x' is not a number\n"
 
 
+@pytest.mark.parametrize("data", [b"1 1\n\xff\n", b"\xff 1\n1\n"])
+def test_embed_names_a_feature_file_that_is_not_text(workdir, capsys, data):
+    model = workdir / "id.txt"
+    model.write_text("PKT-MODEL v1\ndims 1 1\n1\n0\n")
+    path = workdir / "f.txt"
+    path.write_bytes(data)
+    rc = main(["embed", "--model", str(model), "--input", str(path), "--out", str(workdir / "e.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"pkt: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert not (workdir / "e.txt").exists()
+
+
 def test_embed_names_the_line_and_column_of_a_bad_weight(workdir, capsys):
     model = workdir / "m.txt"
     model.write_text("PKT-MODEL v1\ndims 1 2\n0.5 abc\n0 0\n")

@@ -4,6 +4,7 @@ import pytest
 from pkt import check_instance, max_relative_error, run_battery
 from pkt.gradcheck import finite_difference, random_conditionals
 from pkt import cosine_kernel, gaussian_kernel
+from pkt.kernels import TILE
 
 
 def test_finite_difference_on_quadratic():
@@ -33,8 +34,9 @@ def test_random_conditionals_are_valid():
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(1.5)])
 def test_check_instance_passes(spec):
-    rng = np.random.default_rng(2)
-    assert check_instance(6, 3, spec, rng) < 1e-4
+    for n, dim in [(6, 3), (TILE + 5, 2)]:  # the second has off-diagonal tiles
+        rng = np.random.default_rng(2)
+        assert check_instance(n, dim, spec, rng) < 1e-4
 
 
 def test_corrupt_hook_trips_the_check(sign_flipped_gradient):

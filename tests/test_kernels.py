@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from pkt import (
     gaussian_kernel,
     kernel_matrix,
 )
-from pkt.kernels import _kernel_of_gram
+from pkt.kernels import TILE, _kernel_of_gram
 from test_qmi import kernel_eval
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -71,6 +73,36 @@ def test_matrix_bitwise_symmetric_and_in_unit_interval_on_drawn_rows(x, spec):
     k = kernel_matrix(x, spec)
     assert k.tobytes() == np.ascontiguousarray(k.T).tobytes()
     assert np.all(k >= 0.0) and np.all(k <= 1.0)
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(8.0)])
+@pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 3])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_matrix_across_tile_boundaries(spec, n, layout):
+    rng = np.random.default_rng(n)
+    wide = rng.normal(size=(n, 10))
+    x = {"C": wide[:, :5].copy(), "F": np.asfortranarray(wide[:, :5]), "strided": wide[:, ::2]}[layout]
+    k = kernel_matrix(x, spec)
+    assert k.tobytes() == np.ascontiguousarray(k.T).tobytes()
+    assert np.all(k >= 0.0) and np.all(k <= 1.0)
+    edges = [(i, j) for i in (0, TILE - 1, TILE, n - 1) for j in (0, TILE - 1, TILE, n - 1) if max(i, j) < n]
+    for i, j in [*edges, *rng.integers(0, n, size=(300, 2))]:
+        assert abs(k[i, j] - kernel_eval(x[i], x[j], spec)) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(8.0)])
+def test_matrix_into_out_allocates_less_than_one_matrix(spec):
+    n = 4 * TILE
+    x = np.random.default_rng(0).normal(size=(n, 5))
+    out = np.empty((n, n))
+    tracemalloc.start()
+    try:
+        k = kernel_matrix(x, spec, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k is out
+    assert peak < out.nbytes
 
 
 def test_cosine_scale_invariance():

@@ -21,6 +21,7 @@ from pkt import (
     sample_batch,
     train,
 )
+from pkt.kernels import TILE
 from pkt.trainer import _teacher_conditionals, _teacher_row_stats
 
 
@@ -140,15 +141,15 @@ def test_default_config_used_when_omitted():
 def test_cached_teacher_conditionals_match_public_ones(spec, order):
     # row statistics computed once per run must give the very bits the
     # public function computes from the gathered batch
-    _, teacher, _ = small_problem(n=50, d_t=7)
-    teacher = np.asarray(teacher, order=order)
-    stats = _teacher_row_stats(teacher, spec, block=16)
-    out, scratch = np.full(16 * 16, np.nan), np.full(16 * 16, np.nan)
-    for idx in sample_batch(50, 16, 0, 0):  # the last batch has 2 rows, written into a prefix of each buffer
-        b = idx.size
-        cached = _teacher_conditionals(teacher, stats, idx, spec, out=out[: b * b].reshape(b, b),
-                                       scratch=scratch[: b * b].reshape(b, b))
-        assert cached.tobytes() == conditional_probabilities(teacher[idx], spec).tobytes()
+    for n, batch in [(50, 16), (2 * TILE + 60, TILE + 20)]:  # the second spans two tiles
+        _, teacher, _ = small_problem(n=n, d_t=7)
+        teacher = np.asarray(teacher, order=order)
+        stats = _teacher_row_stats(teacher, spec, block=batch)
+        out = np.full(batch * batch, np.nan)
+        for idx in sample_batch(n, batch, 0, 0):  # the last batch is shorter, written into a prefix of the buffer
+            b = idx.size
+            cached = _teacher_conditionals(teacher, stats, idx, spec, out=out[: b * b].reshape(b, b))
+            assert cached.tobytes() == conditional_probabilities(teacher[idx], spec).tobytes()
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(3.0)])
