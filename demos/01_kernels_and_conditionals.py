@@ -51,8 +51,12 @@ print("\nconditional matrix, column sums:", np.sum(q, axis=0))
 print("diagonal stays zero:", np.all(np.diag(q) == 0.0))
 
 # kernel_and_conditionals returns the kernel, the per-column off-diagonal
-# sums, and the conditionals in one pass when all three are needed.
+# sums, and the conditionals in one pass when all three are needed.  The
+# Gaussian conditionals are normalized in the log domain: each column of
+# the kernel comes scaled by its largest off-diagonal entry, so the sums
+# are at least 1 at any width, however far apart the points are.
 k2, colsums, q2 = kernel_and_conditionals(feats, gauss)
 print("\ngaussian conditionals agree with the one-shot helper:",
       np.array_equal(q2, conditional_probabilities(feats, gauss)))
-print("column sums of the raw kernel mass:", np.array_str(colsums, precision=4))
+print("column sums of the column-scaled kernel:", np.array_str(colsums, precision=4))
+print("largest entry of each column:", k2.max(axis=0))

@@ -5,6 +5,11 @@ embeddings.
 The loss is a **sum** over ordered off-diagonal pairs, not a mean, so
 its scale grows with the batch; the learning rate in the trainer is
 documented as batch-size-coupled for that reason.
+
+With a Gaussian student the loss and its gradient are computed from the
+log-domain conditionals (the SNE/t-SNE formulation), exact at any
+width: nothing is clamped.  With a cosine student the conditionals are
+linear, and ``Q_FLOOR`` clamps them inside the log.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import kernel_and_conditionals
+from .affinity import _gaussian_log_conditionals, kernel_and_conditionals
 from .kernels import COSINE, NORM_EPS, KernelSpec, _upper_tiles
 
-# Floor applied to student conditionals inside the log; far below any
-# conditional reachable with cosine kernels at trainable batch sizes.
+# Floor applied to cosine student conditionals and to kl_loss's q inside
+# the log; far below any conditional reachable with cosine kernels at
+# trainable batch sizes.
 Q_FLOOR = 1e-7
 
 # Largest number of entries kl_loss gathers in one temporary.
@@ -124,6 +130,33 @@ def _squares(workspace, n: int, arrays) -> list[np.ndarray]:
     return squares
 
 
+def _symmetrized(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a + a.T`` written into ``out``: each upper tile once, copied transposed into its mirror."""
+    for rs, cs in _upper_tiles(a.shape[0]):
+        np.add(a[rs, cs], a[cs, rs].T, out=out[rs, cs])
+        if cs.start > rs.start:
+            out[cs, rs] = out[rs, cs].T
+    return out
+
+
+def _sum_x_log_x(m: np.ndarray, buf: np.ndarray) -> float:
+    """Sum of ``m * log(m)`` over the off-diagonal entries of ``m`` with ``m > 0``, using the N x N ``buf``."""
+    buf.fill(0.0)
+    np.log(m, out=buf, where=m > 0.0)
+    np.fill_diagonal(buf, 0.0)
+    return float(np.dot(m.ravel(), buf.ravel()))
+
+
+def _targets_log_targets(targets: np.ndarray) -> float:
+    """Sum of ``t * log(t)`` over label-derived targets, from their class counts.
+
+    A column with c partners holds 1/c in each of them, so it adds
+    ``log(1/c)``, and 1/c is the column's maximum.
+    """
+    top = targets.max(axis=0)
+    return float(np.log(top[top > 0.0]).sum())
+
+
 def pkt_loss_and_grad(
     y: np.ndarray,
     p_teacher: np.ndarray,
@@ -131,21 +164,37 @@ def pkt_loss_and_grad(
     sup: tuple[np.ndarray, float] | None = None,
     *,
     workspace: Sequence[np.ndarray] | None = None,
+    p_log_p: float | None = None,
 ) -> LossReport:
     """KL(teacher || student-conditionals(y)) and its exact gradient in y.
 
     The gradient accounts for the normalization coupling (every
     conditional in a slot depends on the whole slot through its
-    denominator) and, for the cosine kernel, for the row-norm terms.
-    Chain rule, per conditioning slot c with kernel column k and sum S_c:
+    denominator).  With ``p_eff`` the teacher plus the weighted targets,
+    the loss is ``sum p log p + weight * sum t log t - sum p_eff log q``.
+
+    Gaussian student: with logits ``L = -d^2 / width`` and
+    ``log q = L - logsumexp`` down each column, the gradient in the
+    logits is ``a = q * colsum(p_eff) - p_eff``.  L is symmetric, so the
+    pair (u, v) has ``dL/d(d^2_uv) = -(a_uv + a_vu) / width``, and
+
+        grad_y = (-2 / width) * (rowsum(w) * y - w @ y),   w = a + a.T
+
+    Cosine student: q is the kernel over its column sums S_c, clamped at
+    ``Q_FLOOR`` inside the log, and per conditioning slot c
 
         dL/dk_uc = (g_uc - sum_r g_rc q_rc) / S_c,   g = dL/dq
 
     then symmetrized over the two slots each unordered pair feeds, and
-    pushed through the kernel's own derivative.
+    pushed through the kernel's own derivative and the row-norm terms.
 
     ``sup`` is an optional ``(targets, weight)`` pair adding
-    ``weight * KL(targets || conditionals(y))`` to the loss.
+    ``weight * KL(targets || conditionals(y))`` to the loss; the targets
+    are label-derived, as :func:`supervised_targets` builds them.
+    ``p_log_p`` is ``sum p log p`` over the teacher's off-diagonal
+    entries when the caller already has it; when None, a Gaussian
+    student's value computes it from ``p_teacher``.  The cosine value
+    does not read it.
 
     Every N x N float array of the call is written into ``workspace``, a
     sequence of ``LOSS_BUFFERS`` flat float64 arrays of at least N * N
@@ -167,44 +216,68 @@ def pkt_loss_and_grad(
     if workspace is None:
         workspace = [np.empty(n * n) for _ in range(LOSS_BUFFERS)]
     inputs = (y, p) if sup is None else (y, p, sup_targets)
-    k_buf, q_buf, e_buf, g_buf = _squares(workspace, n, inputs)
-
-    k, colsums, q = kernel_and_conditionals(y, student_spec, out=(k_buf, q_buf))
+    bufs = _squares(workspace, n, inputs)
+    sup = (sup_targets, weight) if sup is not None and weight > 0 else None
 
     p_eff = p
-    if sup is not None and weight > 0:
-        p_eff = np.multiply(sup_targets, weight, out=e_buf)
+    if sup is not None:
+        p_eff = np.multiply(sup_targets, weight, out=bufs[2])
         p_eff += p
+    if student_spec.family == COSINE:
+        value, grad = _cosine_loss_and_grad(y, p, p_eff, sup, student_spec, bufs)
+    else:
+        value, grad = _gaussian_loss_and_grad(y, p, p_eff, sup, p_log_p, student_spec, bufs)
+    return LossReport(value=value, grad_y=grad, n_pairs=n * (n - 1))
 
+
+def _gaussian_loss_and_grad(y, p, p_eff, sup, p_log_p, spec, bufs) -> tuple[float, np.ndarray]:
+    """:func:`pkt_loss_and_grad` for a Gaussian student, from the log-domain conditionals.
+
+    The cross term ``sum p_eff log q`` is one dot product with the
+    shifted logits and one with the log column sums.  ``bufs[2]`` holds
+    ``p_eff`` when ``sup`` is given; ``bufs[3]`` is used only to take
+    ``p log p`` when ``p_log_p`` is None.
+    """
+    l_buf, q_buf, e_buf, x_buf = bufs
+    shifted, q, log_colsums = _gaussian_log_conditionals(y, spec, out=(l_buf, q_buf))
+    mass = p_eff.sum(axis=0)
+    mass -= np.diagonal(p_eff)
+    if p_log_p is None:
+        p_log_p = _sum_x_log_x(p, x_buf)
+    value = p_log_p - float(np.dot(p_eff.ravel(), shifted.ravel())) + float(np.dot(mass, log_colsums))
+    if sup is not None:
+        value += sup[1] * _targets_log_targets(sup[0])
+
+    a = np.multiply(q, mass[None, :], out=q)
+    a -= p_eff
+    np.fill_diagonal(a, 0.0)
+    w = _symmetrized(a, e_buf)  # p_eff is not read again
+    return value, (-2.0 / spec.width) * (w.sum(axis=1)[:, None] * y - w @ y)
+
+
+def _cosine_loss_and_grad(y, p, p_eff, sup, spec, bufs) -> tuple[float, np.ndarray]:
+    """:func:`pkt_loss_and_grad` for a cosine student, from the linear conditionals clamped at ``Q_FLOOR``."""
+    k_buf, q_buf, e_buf, g_buf = bufs
+    k, colsums, q = kernel_and_conditionals(y, spec, out=(k_buf, q_buf))
     a = _dloss_dq(p_eff, q, g_buf)
     t = np.einsum("rc,rc->c", a, q)
     a -= t[None, :]
     a /= colsums[None, :]
     np.fill_diagonal(a, 0.0)
-    w = e_buf  # p_eff is not read again
-    for rs, cs in _upper_tiles(n):
-        np.add(a[rs, cs], a[cs, rs].T, out=w[rs, cs])
-        if cs.start > rs.start:
-            w[cs, rs] = w[rs, cs].T
+    w = _symmetrized(a, e_buf)  # p_eff is not read again
 
-    if student_spec.family == COSINE:
-        norms = np.linalg.norm(y, axis=1)
-        dens = np.maximum(norms, NORM_EPS)
-        u = y / dens[:, None]
-        cos = np.multiply(k, 2.0, out=k)  # k has a zeroed diagonal; w does too
-        cos -= 1.0
-        coupled = np.einsum("mn,mn->m", w, cos)
-        active = norms > NORM_EPS    # below the guard the norm is constant
-        grad = (w @ u - np.where(active, coupled, 0.0)[:, None] * u) / (2.0 * dens[:, None])
-    else:
-        wk = np.multiply(w, k, out=w)
-        row = wk.sum(axis=1)
-        grad = (-2.0 / student_spec.width) * (row[:, None] * y - wk @ y)
+    norms = np.linalg.norm(y, axis=1)
+    dens = np.maximum(norms, NORM_EPS)
+    u = y / dens[:, None]
+    cos = np.multiply(k, 2.0, out=k)  # k has a zeroed diagonal; w does too
+    cos -= 1.0
+    coupled = np.einsum("mn,mn->m", w, cos)
+    active = norms > NORM_EPS    # below the guard the norm is constant
+    grad = (w @ u - np.where(active, coupled, 0.0)[:, None] * u) / (2.0 * dens[:, None])
 
     # The value comes last, so that its gathered terms can use the buffers of k and a.
     qc = np.clip(q, Q_FLOOR, 1.0, out=q)
     value = _kl_of_clamped(p, qc, k_buf.ravel(), g_buf.ravel())
-    if sup is not None and weight > 0:
-        value += weight * _kl_of_clamped(sup_targets, qc, k_buf.ravel(), g_buf.ravel())
-
-    return LossReport(value=value, grad_y=grad, n_pairs=n * (n - 1))
+    if sup is not None:
+        value += sup[1] * _kl_of_clamped(sup[0], qc, k_buf.ravel(), g_buf.ravel())
+    return value, grad

@@ -117,18 +117,21 @@ def write_features(path, feats: np.ndarray) -> None:
 
 def read_labels(path) -> np.ndarray:
     labels = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            tok = line.strip()
-            if not tok:
-                continue
-            try:
-                value = int(tok)
-            except ValueError:
-                raise ValueError(f"{path}: line {i + 1} is not an integer") from None
-            if value < 0:
-                raise ValueError(f"{path}: line {i + 1} is negative")
-            labels.append(value)
+    try:
+        with open(path) as fh:
+            for i, line in enumerate(fh):
+                tok = line.strip()
+                if not tok:
+                    continue
+                try:
+                    value = int(tok)
+                except ValueError:
+                    raise ValueError(f"{path}: line {i + 1} is not an integer") from None
+                if value < 0:
+                    raise ValueError(f"{path}: line {i + 1} is negative")
+                labels.append(value)
+    except UnicodeDecodeError as err:  # a ValueError that does not name the file
+        raise ValueError(f"{path}: {err}") from None
     if not labels:
         raise ValueError(f"{path}: empty label file")
     return np.array(labels, dtype=int)

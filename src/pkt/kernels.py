@@ -10,12 +10,16 @@ The Gaussian ``width`` is the *full* scale denominator::
     K(a, b) = exp(-||a - b||^2 / width)
 
 Callers pass one number; no squaring or doubling happens internally.
+The Gaussian core computes the logits ``-d^2 / width`` and then their
+exponential; Gaussian conditionals start from the logits, so they are
+normalized in the log domain and never underflow.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,11 +122,26 @@ def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
     mirror tile; a diagonal tile's Gram product ``a @ a.T`` is exactly
     symmetric, so the matrix is too.
     """
+    return _mirrored_tiles(rows, stats, partial(_kernel_of_gram, spec=spec), out)
+
+
+def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian logits ``-clip(d^2, 0) / width`` of rows and their squared norms, written into ``out``.
+
+    Built tile by tile like :func:`_kernel_of_rows`, so ``exp`` of the
+    result is the Gaussian kernel matrix of the same rows, bit for bit.
+    """
+    return _mirrored_tiles(rows, stats, partial(_logits_of_gram, width=width), out)
+
+
+def _mirrored_tiles(rows: np.ndarray, stats: np.ndarray, core, out: np.ndarray | None) -> np.ndarray:
+    """Apply ``core(g, stats_a, stats_b, out=)`` to the Gram product of every upper tile and mirror it."""
     n = rows.shape[0]
     out = np.empty((n, n)) if out is None else out
     gram = np.empty(min(n, TILE) ** 2)
     for rs, cs in _upper_tiles(n):
-        tile = _kernel_tile(rows, stats, rs, cs, spec, gram, out[rs, cs])
+        tile = core(_gram_tile(rows, rs, cs, gram), stats[rs], stats[cs], out=out[rs, cs])
         if cs.start > rs.start:
             out[cs, rs] = tile.T
     return out
@@ -152,10 +171,14 @@ def _kernel_tile(rows: np.ndarray, stats: np.ndarray, rs: slice, cs: slice, spec
     tile-sized product differently from the same entry of a block-wide
     one, so a value can differ from the block's in its last bits.
     """
+    g = _gram_tile(rows, rs, cs, gram)
+    return _kernel_of_gram(g, stats[rs], stats[cs], spec, out=out[: g.size].reshape(g.shape))
+
+
+def _gram_tile(rows: np.ndarray, rs: slice, cs: slice, gram: np.ndarray) -> np.ndarray:
+    """``rows[rs] @ rows[cs].T``, written into the flat buffer ``gram``."""
     shape = (rs.stop - rs.start, cs.stop - cs.start)
-    size = shape[0] * shape[1]
-    g = np.matmul(rows[rs], rows[cs].T, out=gram[:size].reshape(shape))
-    return _kernel_of_gram(g, stats[rs], stats[cs], spec, out=out[:size].reshape(shape))
+    return np.matmul(rows[rs], rows[cs].T, out=gram[: shape[0] * shape[1]].reshape(shape))
 
 
 def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spec: KernelSpec, *,
@@ -176,10 +199,22 @@ def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spe
         k += 1.0
         k *= 0.5
         return k
+    k = _logits_of_gram(g, stats_a, stats_b, spec.width, out=out)
+    return np.exp(k, out=k)
+
+
+def _logits_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, width: float, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian logits ``-clip(sa + sb - 2g, 0) / width`` from a Gram product and squared norms.
+
+    Written into ``out`` (a new array when None) one in-place pass at a
+    time; ``g`` is overwritten.  The negation comes before the division,
+    as in the expression, which keeps the sign of a NaN.
+    """
     d2 = np.add(stats_a[:, None], stats_b[None, :], out=out)
     g *= 2.0
     d2 -= g
     np.maximum(d2, 0.0, out=d2)
     np.negative(d2, out=d2)
-    d2 /= spec.width
-    return np.exp(d2, out=d2)
+    d2 /= width
+    return d2

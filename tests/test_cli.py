@@ -162,6 +162,14 @@ def test_embed_names_a_feature_file_that_is_not_text(workdir, capsys, data):
     assert not (workdir / "e.txt").exists()
 
 
+def test_qmi_names_a_label_file_that_is_not_text(workdir, capsys):
+    path = workdir / "l.txt"
+    path.write_bytes(b"1\n\xff\n")
+    rc = main(["qmi", "--features", str(workdir / "raw.txt"), "--labels", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"pkt: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_embed_names_the_line_and_column_of_a_bad_weight(workdir, capsys):
     model = workdir / "m.txt"
     model.write_text("PKT-MODEL v1\ndims 1 2\n0.5 abc\n0 0\n")
@@ -243,16 +251,17 @@ def test_bad_log_level_rejected(monkeypatch, capsys):
 
 
 def test_failing_transfer_keeps_finished_batches_and_writes_no_model(tmp_path, capsys):
-    # the huge step throws the Gaussian student embeddings apart during batch 1
+    # the huge step overflows the student's output during batch 1
     rng = np.random.default_rng(0)
     write_features(tmp_path / "raw.txt", rng.normal(size=(256, 8)))
     write_features(tmp_path / "teacher.txt", rng.normal(size=(256, 8)))
-    rc = main(["transfer", "--input", str(tmp_path / "raw.txt"), "--teacher", str(tmp_path / "teacher.txt"),
-               "--arch", "16,4", "--epochs", "3", "--batch-size", "64", "--lr", "1e3",
-               "--kernel", "gaussian", "--sigma-t", "1", "--sigma-s", "1",
-               "--out", str(tmp_path / "model.txt"), "--loss-log", str(tmp_path / "loss.txt")])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["transfer", "--input", str(tmp_path / "raw.txt"), "--teacher", str(tmp_path / "teacher.txt"),
+                   "--arch", "16,4", "--epochs", "3", "--batch-size", "64", "--lr", "1e300",
+                   "--kernel", "gaussian", "--sigma-t", "1", "--sigma-s", "1",
+                   "--out", str(tmp_path / "model.txt"), "--loss-log", str(tmp_path / "loss.txt")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("pkt: epoch 0 batch 1: degenerate geometry")
+    assert capsys.readouterr().err.startswith("pkt: epoch 0 batch 1: feature matrix contains non-finite entries")
     assert not (tmp_path / "model.txt").exists()
     lines = (tmp_path / "loss.txt").read_text().splitlines()
     assert [line.split()[:2] for line in lines] == [["0", "0"]]

@@ -109,15 +109,18 @@ def test_grad_zero_at_optimum():
     assert report.n_pairs == 8 * 7
 
 
-@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0), gaussian_kernel(0.7)])
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0), gaussian_kernel(0.7),
+                                  gaussian_kernel(0.2), gaussian_kernel(0.05)])
 def test_grad_matches_finite_differences(spec):
+    # at widths 0.2 and 0.05 most student conditionals are far below Q_FLOOR
     rng = np.random.default_rng(41)
-    for _ in range(3):
+    for trial in range(4):
         n = int(rng.integers(4, 10))
         y = rng.normal(size=(n, int(rng.integers(2, 6))))
         p = random_conditionals(rng, n)
-        analytic = pkt_loss_and_grad(y, p, spec).grad_y
-        numeric = finite_difference(lambda yy: pkt_loss_and_grad(yy, p, spec).value, y)
+        sup = (supervised_targets(np.arange(n) % 3), 0.5) if trial == 3 else None
+        analytic = pkt_loss_and_grad(y, p, spec, sup).grad_y
+        numeric = finite_difference(lambda yy: pkt_loss_and_grad(yy, p, spec, sup).value, y)
         assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -242,7 +245,11 @@ def test_workspace_leaves_value_and_gradient_bit_identical(spec, weight, b):
     expected = kl_loss(p, q)
     if sup is not None:
         expected += weight * kl_loss(sup[0], q)
-    assert fresh.value == expected
+    if spec.family == "cosine":
+        assert fresh.value == expected
+    else:  # the log-domain value sums other terms; nothing is clamped here
+        assert np.min(q[~np.eye(b, dtype=bool)]) > Q_FLOOR
+        assert fresh.value == pytest.approx(expected, rel=1e-12)
 
 
 def test_workspace_validation():
@@ -258,3 +265,70 @@ def test_workspace_validation():
         pkt_loss_and_grad(y, p, cosine_kernel(), workspace=[np.empty(25, dtype=np.float32)] + good[1:])
     with pytest.raises(ValueError, match="share memory"):
         pkt_loss_and_grad(y, p, cosine_kernel(), workspace=[p.ravel()] + good[1:])
+
+
+def dense_gaussian_reference(y, p, width, sup=None):
+    """The Gaussian loss and gradient written out densely, with a max-shifted logsumexp down each column."""
+    n = y.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    diff = y[:, None, :] - y[None, :, :]  # diff[i, j] = y_i - y_j
+    logits = -np.sum(diff * diff, axis=-1) / width
+    logits[~off] = -np.inf
+    top = logits.max(axis=0)
+    log_q = logits - (top + np.log(np.sum(np.exp(logits - top), axis=0)))
+    q = np.exp(log_q)
+    parts = [(p, 1.0)] if sup is None else [(p, 1.0), sup]
+    value, p_eff = 0.0, np.zeros((n, n))
+    for t, weight in parts:
+        m = off & (t > 0.0)
+        value += weight * np.sum(t[m] * (np.log(t[m]) - log_q[m]))
+        p_eff += weight * t
+    # d value / d logit[r, c] = q[r, c] * (column c's target mass) - p_eff[r, c], and
+    # d logit[r, c] / d y_i = -2 / width * (y_r - y_c) * ([i == r] - [i == c])
+    g = np.where(off, q * np.sum(np.where(off, p_eff, 0.0), axis=0) - p_eff, 0.0)
+    grad = -2.0 / width * (np.einsum("ic,icd->id", g, diff) + np.einsum("ri,ird->id", g, diff))
+    return value, grad, q
+
+
+def linear_gaussian_oracle(y, p, width, sup=None):
+    """The Gaussian loss and gradient by the linear formulas: q = k / colsum, clamped at Q_FLOOR."""
+    d2 = np.sum((y[:, None, :] - y[None, :, :]) ** 2, axis=-1)
+    k = np.exp(-d2 / width)
+    np.fill_diagonal(k, 0.0)
+    colsums = k.sum(axis=0)
+    q = k / colsums
+    parts = [(p, 1.0)] if sup is None else [(p, 1.0), sup]
+    value = sum(weight * kl_loss_oracle(t, q) for t, weight in parts)
+    p_eff = sum(weight * t for t, weight in parts)
+    off = ~np.eye(y.shape[0], dtype=bool)
+    active = off & (p_eff > 0.0) & (q > Q_FLOOR)
+    dq = np.zeros_like(q)
+    dq[active] = -p_eff[active] / q[active]
+    dk = (dq - np.sum(dq * q, axis=0)) / colsums
+    np.fill_diagonal(dk, 0.0)
+    wk = (dk + dk.T) * k
+    grad = -2.0 / width * (wk.sum(axis=1)[:, None] * y - wk @ y)
+    return value, grad
+
+
+@pytest.mark.parametrize("width", [0.05, 0.2, 1.0, 8.0])
+@pytest.mark.parametrize("supervised", [False, True], ids=["plain", "sup"])
+def test_gaussian_value_and_gradient_match_dense_references(width, supervised):
+    rng = np.random.default_rng(int(width * 100) + supervised)
+    compared_linear = 0
+    for _ in range(6):
+        n = int(rng.integers(3, 40))
+        y = rng.normal(size=(n, int(rng.integers(1, 6))))
+        p = random_conditionals(rng, n)
+        sup = (supervised_targets(rng.integers(0, 3, size=n) if n > 3 else [0, 0, 1]), 0.4) if supervised else None
+        report = pkt_loss_and_grad(y, p, gaussian_kernel(width), sup)
+        value, grad, q = dense_gaussian_reference(y, p, width, sup)
+        assert report.value == pytest.approx(value, rel=1e-12)
+        assert np.max(np.abs(report.grad_y - grad)) <= 1e-12 * np.max(np.abs(grad))
+        if np.min(q[~np.eye(n, dtype=bool)]) > Q_FLOOR:  # the linear formulas clamp nothing
+            compared_linear += 1
+            value, grad = linear_gaussian_oracle(y, p, width, sup)
+            assert report.value == pytest.approx(value, rel=1e-12)
+            assert np.max(np.abs(report.grad_y - grad)) <= 1e-12 * np.max(np.abs(grad))
+    if width >= 1.0:
+        assert compared_linear > 0

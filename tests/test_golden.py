@@ -28,7 +28,7 @@ CASES = {
 
 GOLDEN = {
     "cosine": "82e3d21106d91171d68c77371a566f18353e47e25817b0c9b2fad7fd8672883a",
-    "gaussian_sup": "1416686675c63b8a016dfd2ae0b2c63cfe11fc1aac918f64c882fd020aad1239",
+    "gaussian_sup": "d39673f2e0be7e8bf2c35d54a2cf33b1f65589504709829607ee9dd68c666538",
 }
 
 

@@ -145,11 +145,18 @@ def test_cached_teacher_conditionals_match_public_ones(spec, order):
         _, teacher, _ = small_problem(n=n, d_t=7)
         teacher = np.asarray(teacher, order=order)
         stats = _teacher_row_stats(teacher, spec, block=batch)
-        out = np.full(batch * batch, np.nan)
+        out, scratch = np.full(batch * batch, np.nan), np.full(batch * batch, np.nan)
         for idx in sample_batch(n, batch, 0, 0):  # the last batch is shorter, written into a prefix of the buffer
             b = idx.size
-            cached = _teacher_conditionals(teacher, stats, idx, spec, out=out[: b * b].reshape(b, b))
-            assert cached.tobytes() == conditional_probabilities(teacher[idx], spec).tobytes()
+            cached, p_log_p = _teacher_conditionals(teacher, stats, idx, spec, out=out[: b * b].reshape(b, b),
+                                                    scratch=scratch[: b * b].reshape(b, b))
+            public = conditional_probabilities(teacher[idx], spec)
+            assert cached.tobytes() == public.tobytes()
+            if spec.family == "cosine":
+                assert p_log_p is None
+            else:
+                off = ~np.eye(b, dtype=bool)
+                assert p_log_p == pytest.approx(np.sum(public[off] * np.log(public[off])), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(3.0)])
@@ -174,17 +181,30 @@ def test_non_finite_teacher_rejected_before_any_step(bad):
 
 
 def test_failing_batch_names_epoch_and_batch():
-    # a huge step throws the Gaussian student embeddings apart until a
-    # slot has no kernel mass left
+    # a huge step overflows the student's output during batch 1
+    rng = np.random.default_rng(0)
+    raw, teacher = rng.normal(size=(256, 8)), rng.normal(size=(256, 8))
+    cfg = TrainConfig(epochs=3, batch_size=64, lr=1e300, seed=0,
+                      teacher_spec=gaussian_kernel(1.0), student_spec=gaussian_kernel(1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^epoch 0 batch 1: feature matrix contains non-finite entries$") as info:
+            train(init_student([8, 16, 4], seed=0), raw, teacher, cfg=cfg)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "epoch" not in str(info.value.__cause__)
+    assert [(e.epoch, e.batch) for e in info.value.trace] == [(0, 0)]
+
+
+def test_gaussian_training_survives_embeddings_thrown_apart():
+    # the step of 1e3 throws the student embeddings so far apart that most
+    # kernel values underflow; the log-domain conditionals stay exact
     rng = np.random.default_rng(0)
     raw, teacher = rng.normal(size=(256, 8)), rng.normal(size=(256, 8))
     cfg = TrainConfig(epochs=3, batch_size=64, lr=1e3, seed=0,
                       teacher_spec=gaussian_kernel(1.0), student_spec=gaussian_kernel(1.0))
-    with pytest.raises(ValueError, match=r"^epoch 0 batch 1: degenerate geometry") as info:
-        train(init_student([8, 16, 4], seed=0), raw, teacher, cfg=cfg)
-    assert isinstance(info.value.__cause__, ValueError)
-    assert "epoch" not in str(info.value.__cause__)
-    assert [(e.epoch, e.batch) for e in info.value.trace] == [(0, 0)]
+    model, trace = train(init_student([8, 16, 4], seed=0), raw, teacher, cfg=cfg)
+    assert [(e.epoch, e.batch) for e in trace] == [(epoch, b) for epoch in range(3) for b in range(4)]
+    assert all(np.isfinite(e.loss) and e.loss >= 0.0 for e in trace)
+    assert all(np.all(np.isfinite(p)) for p in model.parameters())
 
 
 def test_training_holds_no_copy_of_the_teacher():
