@@ -19,7 +19,6 @@ from pkt import (
     kl_loss,
     max_relative_error,
     pkt_loss_and_grad,
-    supervised_targets,
 )
 
 rng = np.random.default_rng(1)
@@ -59,12 +58,13 @@ print("loss after a tiny descent step:",
 # Supervised variant: labels induce target conditionals that put uniform
 # mass on same-class partners.  The weighted label term just adds on.
 labels = np.array([0, 0, 1, 1, 0, 1, 1, 0])
-targets = supervised_targets(labels)
+same = (labels[:, None] == labels[None, :]) & ~np.eye(labels.size, dtype=bool)
+targets = same / np.maximum(same.sum(axis=0), 1)
 print("\nsupervised targets for labels", labels.tolist())
 print(np.array_str(targets, precision=3))
 print("slots with a same-class partner:", (targets.sum(axis=0) > 0).tolist())
 
-combined = pkt_loss_and_grad(student, p, spec, sup=(targets, 0.01))
+combined = pkt_loss_and_grad(student, p, spec, sup=(labels, 0.01))
 print("loss with a 0.01-weighted label term:", combined.value)
 print("which equals main + 0.01 * label KL:",
       report.value + 0.01 * kl_loss(targets, q))

@@ -18,7 +18,6 @@ from .affinity import (
 from .divergence import (
     kl_loss,
     pkt_loss_and_grad,
-    supervised_targets,
 )
 from .featio import read_features, read_labels, write_features, write_labels
 from .gradcheck import check_instance, finite_difference, max_relative_error, run_battery
@@ -35,7 +34,6 @@ from .retrieval import (
     RetrievalIndex,
     average_precision_11pt,
     evaluate,
-    rank,
 )
 from .student import (
     StudentModel,
@@ -75,13 +73,11 @@ __all__ = [
     "max_relative_error",
     "pkt_loss_and_grad",
     "potential_equality_check",
-    "rank",
     "read_features",
     "read_labels",
     "run_battery",
     "sample_batch",
     "save_model",
-    "supervised_targets",
     "train",
     "write_features",
     "write_labels",

@@ -6,10 +6,15 @@ The loss is a **sum** over ordered off-diagonal pairs, not a mean, so
 its scale grows with the batch; the learning rate in the trainer is
 documented as batch-size-coupled for that reason.
 
-With a Gaussian student the loss and its gradient are computed from the
-log-domain conditionals (the SNE/t-SNE formulation), exact at any
-width: nothing is clamped.  With a cosine student the conditionals are
-linear, and ``Q_FLOOR`` clamps them inside the log.
+The optional supervised term is built from class labels: its targets
+are uniform over each sample's same-class partners, so ``sum t log t``
+follows from the class counts alone.  Both kernel families share one
+value, ``sum p log p + weight * sum t log t - sum p_eff log q`` with
+``p_eff = p + weight * t``; each family computes only its cross term
+``sum p_eff log q`` and the gradient.  With a Gaussian student both come
+from the log-domain conditionals (the SNE/t-SNE formulation), exact at
+any width: nothing is clamped.  With a cosine student the conditionals
+are linear, and ``Q_FLOOR`` clamps them inside the log.
 """
 
 from __future__ import annotations
@@ -26,9 +31,6 @@ from .kernels import COSINE, NORM_EPS, KernelSpec, _upper_tiles
 # the log; far below any conditional reachable with cosine kernels at
 # trainable batch sizes.
 Q_FLOOR = 1e-7
-
-# Largest number of entries kl_loss gathers in one temporary.
-GATHER_ENTRIES = 1 << 14
 
 # Flat N * N buffers that one pkt_loss_and_grad call writes its N x N arrays into.
 LOSS_BUFFERS = 4
@@ -58,52 +60,26 @@ def kl_loss(p_teacher: np.ndarray, q_student: np.ndarray) -> float:
     target matrices with empty slots are handled without special casing.
     """
     p, q = _check_same_shape(p_teacher, q_student)
-    return _kl_of_clamped(p, np.clip(q, Q_FLOOR, 1.0), np.empty(p.size), np.empty(p.size))
+    m = p > 0.0
+    np.fill_diagonal(m, False)
+    return float(np.sum(p[m] * np.log(p[m] / np.clip(q, Q_FLOOR, 1.0)[m])))
 
 
-def _kl_of_clamped(p: np.ndarray, qc: np.ndarray, p_buf: np.ndarray, qc_buf: np.ndarray) -> float:
-    """:func:`kl_loss` of ``p`` against ``qc``, student conditionals already clamped to [Q_FLOOR, 1].
+def _supervised_into(p: np.ndarray, labels: np.ndarray, weight: float, out: np.ndarray) -> float:
+    """Write ``p_eff = p + weight * t`` into ``out`` for the label targets ``t``; return ``sum t log t``.
 
-    The terms are those of ``p[mask] * log(p[mask] / qc[mask])``, summed
-    in that order.  The masked entries are gathered into the flat buffers
-    ``p_buf`` and ``qc_buf`` of at least ``p.size`` entries each, a block
-    of rows at a time, so no temporary holds more than GATHER_ENTRIES.
+    ``t[i, j] = 1 / c_j`` if samples i != j share a class, c_j being the
+    number of slot j's same-class partners.  A slot without partners is
+    an all-zero column of ``t``, which adds nothing to either sum, so a
+    batch of distinct labels leaves ``p_eff`` equal to ``p``.
     """
-    mask = p > 0.0
-    np.fill_diagonal(mask, False)
-    rows = max(1, GATHER_ENTRIES // max(1, p.shape[1]))
-    end = 0
-    for lo in range(0, p.shape[0], rows):
-        block = mask[lo : lo + rows]
-        start, end = end, end + np.count_nonzero(block)
-        p_buf[start:end] = p[lo : lo + rows][block]
-        qc_buf[start:end] = qc[lo : lo + rows][block]
-    p_terms, terms = p_buf[:end], qc_buf[:end]
-    np.divide(p_terms, terms, out=terms)
-    np.log(terms, out=terms)
-    terms *= p_terms
-    return float(np.sum(terms))
-
-
-def supervised_targets(labels, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Label-derived target conditionals: uniform over same-class partners.
-
-    ``targets[i, j] = 1 / c_j`` if samples i and j share a class (i != j,
-    c_j partners in slot j).  Slots without partners are all-zero
-    columns; they contribute nothing to a KL against these targets.
-    Raises if every label is a singleton.  The targets are written into
-    ``out``, an N x N float array, or a new one when None.
-    """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] < 2:
-        raise ValueError("need at least 2 labels")
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     counts = same.sum(axis=0)
-    if not np.any(counts > 0):
-        raise ValueError("all labels are singletons: no same-class pair exists")
-    # a slot without partners is an all-False column, so dividing it by 1 zeroes it
-    return np.divide(same, np.maximum(counts, 1), out=out)
+    np.divide(same, np.maximum(counts, 1), out=out)
+    out *= weight
+    out += p
+    return float(np.log(1.0 / counts[counts > 0]).sum())
 
 
 def _dloss_dq(p_eff: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -147,16 +123,6 @@ def _sum_x_log_x(m: np.ndarray, buf: np.ndarray) -> float:
     return float(np.dot(m.ravel(), buf.ravel()))
 
 
-def _targets_log_targets(targets: np.ndarray) -> float:
-    """Sum of ``t * log(t)`` over label-derived targets, from their class counts.
-
-    A column with c partners holds 1/c in each of them, so it adds
-    ``log(1/c)``, and 1/c is the column's maximum.
-    """
-    top = targets.max(axis=0)
-    return float(np.log(top[top > 0.0]).sum())
-
-
 def pkt_loss_and_grad(
     y: np.ndarray,
     p_teacher: np.ndarray,
@@ -188,13 +154,12 @@ def pkt_loss_and_grad(
     then symmetrized over the two slots each unordered pair feeds, and
     pushed through the kernel's own derivative and the row-norm terms.
 
-    ``sup`` is an optional ``(targets, weight)`` pair adding
-    ``weight * KL(targets || conditionals(y))`` to the loss; the targets
-    are label-derived, as :func:`supervised_targets` builds them.
-    ``p_log_p`` is ``sum p log p`` over the teacher's off-diagonal
-    entries when the caller already has it; when None, a Gaussian
-    student's value computes it from ``p_teacher``.  The cosine value
-    does not read it.
+    ``sup`` is an optional ``(labels, weight)`` pair, one class label per
+    row of ``y``, adding ``weight * KL(t || conditionals(y))`` to the
+    loss, where the targets ``t`` are uniform over each sample's
+    same-class partners.  ``p_log_p`` is ``sum p log p`` over the
+    teacher's off-diagonal entries when the caller already has it; when
+    None, it is computed from ``p_teacher``.
 
     Every N x N float array of the call is written into ``workspace``, a
     sequence of ``LOSS_BUFFERS`` flat float64 arrays of at least N * N
@@ -207,58 +172,58 @@ def pkt_loss_and_grad(
     if p.shape != (n, n):
         raise ValueError(f"teacher matrix {p.shape} does not match {n} student rows")
     if sup is not None:
-        sup_targets, weight = sup
-        sup_targets = np.asarray(sup_targets, dtype=float)
-        if sup_targets.shape != (n, n):
-            raise ValueError("supervised target size mismatch")
+        labels, weight = sup
         if not np.isfinite(weight) or weight < 0:
             raise ValueError("supervised weight must be nonnegative and finite")
+        labels = np.asarray(labels)
+        if labels.shape != (n,):
+            raise ValueError(f"supervised labels of shape {labels.shape} are not one label per student row")
     if workspace is None:
         workspace = [np.empty(n * n) for _ in range(LOSS_BUFFERS)]
-    inputs = (y, p) if sup is None else (y, p, sup_targets)
-    bufs = _squares(workspace, n, inputs)
-    sup = (sup_targets, weight) if sup is not None and weight > 0 else None
+    bufs = _squares(workspace, n, (y, p))
 
-    p_eff = p
-    if sup is not None:
-        p_eff = np.multiply(sup_targets, weight, out=bufs[2])
-        p_eff += p
-    if student_spec.family == COSINE:
-        value, grad = _cosine_loss_and_grad(y, p, p_eff, sup, student_spec, bufs)
-    else:
-        value, grad = _gaussian_loss_and_grad(y, p, p_eff, sup, p_log_p, student_spec, bufs)
-    return LossReport(value=value, grad_y=grad, n_pairs=n * (n - 1))
+    if p_log_p is None:
+        p_log_p = _sum_x_log_x(p, bufs[3])
+    p_eff, sup_log = p, 0.0
+    if sup is not None and weight > 0:
+        sup_log = weight * _supervised_into(p, labels, weight, bufs[2])
+        p_eff = bufs[2]
+    cross_and_grad = _cosine_cross_and_grad if student_spec.family == COSINE else _gaussian_cross_and_grad
+    cross, grad = cross_and_grad(y, p_eff, student_spec, bufs)
+    return LossReport(value=p_log_p + sup_log - cross, grad_y=grad, n_pairs=n * (n - 1))
 
 
-def _gaussian_loss_and_grad(y, p, p_eff, sup, p_log_p, spec, bufs) -> tuple[float, np.ndarray]:
-    """:func:`pkt_loss_and_grad` for a Gaussian student, from the log-domain conditionals.
+def _gaussian_cross_and_grad(y, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
+    """``sum p_eff log q`` and the loss gradient for a Gaussian student, from the log-domain conditionals.
 
-    The cross term ``sum p_eff log q`` is one dot product with the
-    shifted logits and one with the log column sums.  ``bufs[2]`` holds
-    ``p_eff`` when ``sup`` is given; ``bufs[3]`` is used only to take
-    ``p log p`` when ``p_log_p`` is None.
+    The cross term is one dot product with the shifted logits less one
+    with the log column sums.  ``bufs[3]`` is not used.
     """
-    l_buf, q_buf, e_buf, x_buf = bufs
+    l_buf, q_buf, e_buf, _ = bufs
     shifted, q, log_colsums = _gaussian_log_conditionals(y, spec, out=(l_buf, q_buf))
     mass = p_eff.sum(axis=0)
     mass -= np.diagonal(p_eff)
-    if p_log_p is None:
-        p_log_p = _sum_x_log_x(p, x_buf)
-    value = p_log_p - float(np.dot(p_eff.ravel(), shifted.ravel())) + float(np.dot(mass, log_colsums))
-    if sup is not None:
-        value += sup[1] * _targets_log_targets(sup[0])
+    cross = float(np.dot(p_eff.ravel(), shifted.ravel())) - float(np.dot(mass, log_colsums))
 
     a = np.multiply(q, mass[None, :], out=q)
     a -= p_eff
     np.fill_diagonal(a, 0.0)
     w = _symmetrized(a, e_buf)  # p_eff is not read again
-    return value, (-2.0 / spec.width) * (w.sum(axis=1)[:, None] * y - w @ y)
+    return cross, (-2.0 / spec.width) * (w.sum(axis=1)[:, None] * y - w @ y)
 
 
-def _cosine_loss_and_grad(y, p, p_eff, sup, spec, bufs) -> tuple[float, np.ndarray]:
-    """:func:`pkt_loss_and_grad` for a cosine student, from the linear conditionals clamped at ``Q_FLOOR``."""
+def _cosine_cross_and_grad(y, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
+    """``sum p_eff log q`` and the loss gradient for a cosine student, from the linear conditionals.
+
+    The cross term takes q clamped at ``Q_FLOOR``, whose log goes into
+    the gradient's buffer before the gradient is built there.
+    """
     k_buf, q_buf, e_buf, g_buf = bufs
     k, colsums, q = kernel_and_conditionals(y, spec, out=(k_buf, q_buf))
+    log_q = np.log(np.clip(q, Q_FLOOR, 1.0, out=g_buf), out=g_buf)
+    np.fill_diagonal(log_q, 0.0)
+    cross = float(np.dot(p_eff.ravel(), log_q.ravel()))
+
     a = _dloss_dq(p_eff, q, g_buf)
     t = np.einsum("rc,rc->c", a, q)
     a -= t[None, :]
@@ -273,11 +238,4 @@ def _cosine_loss_and_grad(y, p, p_eff, sup, spec, bufs) -> tuple[float, np.ndarr
     cos -= 1.0
     coupled = np.einsum("mn,mn->m", w, cos)
     active = norms > NORM_EPS    # below the guard the norm is constant
-    grad = (w @ u - np.where(active, coupled, 0.0)[:, None] * u) / (2.0 * dens[:, None])
-
-    # The value comes last, so that its gathered terms can use the buffers of k and a.
-    qc = np.clip(q, Q_FLOOR, 1.0, out=q)
-    value = _kl_of_clamped(p, qc, k_buf.ravel(), g_buf.ravel())
-    if sup is not None:
-        value += sup[1] * _kl_of_clamped(sup[0], qc, k_buf.ravel(), g_buf.ravel())
-    return value, grad
+    return cross, (w @ u - np.where(active, coupled, 0.0)[:, None] * u) / (2.0 * dens[:, None])

@@ -11,9 +11,8 @@ O(QUERY_BLOCK * N) memory for N database rows, never a queries x N
 matrix.  AP and top-k need only the rank of each relevant item, so
 ``evaluate`` sorts one copy of each query's keys and finds each hit's
 rank by binary search; only a row with a tie, a signed-zero pair or a
-NaN is arg-sorted, stably.  ``rank`` returns the full order of one
-query, and ``average_precision_11pt`` scores one ranked list, with the
-same AP code as ``evaluate``.
+NaN is arg-sorted, stably.  ``average_precision_11pt`` scores one
+ranked list, with the same AP code as ``evaluate``.
 """
 
 from __future__ import annotations
@@ -76,21 +75,6 @@ def _rank_rows(db_unit: np.ndarray, queries_unit: np.ndarray) -> np.ndarray:
     if unsure.any():
         order[unsure] = np.argsort(keys[unsure], axis=1, kind="stable")
     return order
-
-
-def rank(index: RetrievalIndex, query: np.ndarray) -> np.ndarray:
-    """Database indices by descending cosine similarity; ties broken by ascending index.
-
-    The query is scored with a 1 x D product.  BLAS may round its last
-    bits differently from the block product :func:`evaluate` scores a
-    query with, so two near-tied items can come out in the other order;
-    ``rank`` is an exact oracle for ``evaluate`` only where the cosines
-    are exact.
-    """
-    query = np.asarray(query, dtype=float)
-    if query.shape != (index.db_feats.shape[1],):
-        raise ValueError(f"query dim {query.shape} does not match database dim {index.db_feats.shape[1]}")
-    return _rank_rows(_unit_rows(index.db_feats), _unit_rows(query[None, :]))[0]
 
 
 def _hit_ranks(keys: np.ndarray, relevant: np.ndarray, sorted_keys: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ and student conditional matrices, analytic gradient, backprop, Adam.
 The teacher features are checked and reduced to one statistic per row
 (its norm for the cosine kernel, its squared norm for the Gaussian) once
 per run.  Each batch then gathers its B teacher rows and builds their
-conditionals from those statistics (Gaussian ones in the log domain,
-with the ``sum p log p`` the loss value needs), so training holds O(N)
+conditionals from those statistics (Gaussian ones in the log domain),
+with the ``sum p log p`` the loss value needs, so training holds O(N)
 statistics, O(B*D) rows per batch and one O(B^2) workspace per run,
 never a second N x D copy of the teacher, and matches the batch-wise
 estimation of the full similarity structure.  Class labels are only
@@ -21,7 +21,7 @@ import numpy as np
 
 from .affinity import _conditionals, _log_conditionals, sample_batch
 from .affinity import conditional_probabilities  # noqa: F401  (perfbench's tests read it from this module)
-from .divergence import LOSS_BUFFERS, pkt_loss_and_grad, supervised_targets
+from .divergence import LOSS_BUFFERS, _sum_x_log_x, pkt_loss_and_grad
 from .kernels import COSINE, KernelSpec, _kernel_of_rows, _logits_of_rows, _row_stats, cosine_kernel
 from .student import StudentModel, adam_step, init_adam
 
@@ -82,21 +82,22 @@ def _teacher_row_stats(teacher: np.ndarray, spec: KernelSpec, block: int) -> np.
 
 
 def _teacher_conditionals(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray, spec: KernelSpec, *,
-                          out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float | None]:
+                          out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float]:
     """``conditional_probabilities(teacher[idx], spec)``, from the cached row statistics, and its ``sum p log p``.
 
     The conditionals are written into ``out``, a C-contiguous B x B float
-    array.  A cosine kernel is built there and normalized in place, and
-    its ``sum p log p`` is None.  Gaussian logits are built in
-    ``scratch``, another such array, and normalized in the log domain
-    into ``out``; ``sum p log p`` is then one dot product of ``p`` with
-    the shifted logits, less the log column sums.
+    array, and ``scratch`` is another such array.  A cosine kernel is
+    built in ``out`` and normalized in place, and its ``sum p log p``
+    takes the logs in ``scratch``.  Gaussian logits are built in
+    ``scratch`` and normalized in the log domain into ``out``;
+    ``sum p log p`` is then one dot product of ``p`` with the shifted
+    logits, less the log column sums.
     """
     rows, batch_stats = teacher[idx], stats[idx]
     if spec.family == COSINE:
         rows /= batch_stats[:, None]
         _, _, p = _conditionals(_kernel_of_rows(rows, batch_stats, spec, out=out), out=out)
-        return p, None
+        return p, _sum_x_log_x(p, scratch)
     shifted = _logits_of_rows(rows, batch_stats, spec.width, out=scratch)
     p, log_colsums = _log_conditionals(shifted, out=out)
     return p, float(np.dot(p.ravel(), shifted.ravel())) - float(log_colsums.sum())
@@ -106,10 +107,10 @@ def _workspace(count: int, size: int) -> list[np.ndarray]:
     """``count`` flat float64 buffers of ``size`` entries, in one anonymous memory mapping.
 
     Every B x B array of a batch lives in these buffers: the teacher's
-    conditionals, the Gaussian teacher's logits, which the supervised
-    targets then overwrite, and the loss's own.  A tail batch of b < B
-    rows uses the first b * b entries of each, as a C-contiguous b x b
-    array.  A mapping of its own, unlike heap memory, goes back to the
+    conditionals in the first, and the loss's own in the others, the
+    first of which holds the teacher's logits or logs until the loss
+    starts.  A tail batch of b < B rows uses the first b * b entries of
+    each, as a C-contiguous b x b array.  A mapping of its own, unlike heap memory, goes back to the
     system when the run drops it, however the heap around it is used,
     so every run starts from fresh pages and no run inherits another's.
     """
@@ -148,21 +149,18 @@ def train(
 
     state = init_adam(model.parameters(), lr=cfg.lr)
     side = min(cfg.batch_size, n)
-    workspace = _workspace(2 + LOSS_BUFFERS, side * side)
+    workspace = _workspace(1 + LOSS_BUFFERS, side * side)
     trace: list[TraceEntry] = []
     for epoch in range(cfg.epochs):
         chunks = sample_batch(n, cfg.batch_size, cfg.seed, epoch)
         for b, idx in enumerate(chunks):
-            p_buf, t_buf = (buf[: idx.size * idx.size].reshape(idx.size, idx.size) for buf in workspace[:2])
+            p_buf, scratch = (buf[: idx.size * idx.size].reshape(idx.size, idx.size) for buf in workspace[:2])
             try:
                 p, p_log_p = _teacher_conditionals(teacher_feats, teacher_stats, idx, cfg.teacher_spec,
-                                                   out=p_buf, scratch=t_buf)
+                                                   out=p_buf, scratch=scratch)
                 y = model.forward(raw_inputs[idx])
-                sup = None
-                if cfg.sup_weight > 0:
-                    targets = supervised_targets(labels[idx], out=t_buf)
-                    sup = (targets, cfg.sup_weight)
-                report = pkt_loss_and_grad(y, p, cfg.student_spec, sup, workspace=workspace[2:], p_log_p=p_log_p)
+                sup = (labels[idx], cfg.sup_weight) if cfg.sup_weight > 0 else None
+                report = pkt_loss_and_grad(y, p, cfg.student_spec, sup, workspace=workspace[1:], p_log_p=p_log_p)
                 if not (np.isfinite(report.value) and np.all(np.isfinite(report.grad_y))):
                     raise ValueError("the loss or its gradient is not finite")
                 adam_step(state, model.parameters(), model.backward(report.grad_y))

@@ -10,7 +10,6 @@ from pkt import (
     gaussian_kernel,
     kl_loss,
     pkt_loss_and_grad,
-    supervised_targets,
 )
 from pkt.divergence import LOSS_BUFFERS, Q_FLOOR
 from pkt.gradcheck import finite_difference, max_relative_error, random_conditionals
@@ -60,7 +59,7 @@ def test_kl_clamp_floor():
 
 
 def test_kl_zero_times_log_zero():
-    targets = supervised_targets([0, 0, 1])
+    targets = supervised_targets_oracle([0, 0, 1])
     q = random_conditionals(np.random.default_rng(0), 3)
     assert np.isfinite(kl_loss(targets, q))
 
@@ -70,31 +69,6 @@ def test_kl_shape_validation():
         kl_loss(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         kl_loss(np.zeros((3, 3)), np.zeros((2, 2)))
-
-
-def test_supervised_targets_pairs():
-    targets = supervised_targets([0, 0, 1, 1])
-    assert targets[1, 0] == 1.0 and targets[0, 1] == 1.0
-    assert targets[3, 2] == 1.0 and targets[2, 3] == 1.0
-    assert targets.sum(axis=0) == pytest.approx(np.ones(4))
-
-
-def test_supervised_targets_uniform_over_class():
-    targets = supervised_targets([0, 0, 0])
-    off = ~np.eye(3, dtype=bool)
-    assert np.all(targets[off] == 0.5)
-
-
-def test_supervised_targets_singleton_slot():
-    targets = supervised_targets([0, 0, 1])
-    assert np.all(targets[:, 2] == 0.0)
-
-
-def test_supervised_targets_all_singletons():
-    with pytest.raises(ValueError):
-        supervised_targets([0, 1])
-    with pytest.raises(ValueError):
-        supervised_targets([3, 1, 2])
 
 
 def test_grad_zero_at_optimum():
@@ -118,7 +92,7 @@ def test_grad_matches_finite_differences(spec):
         n = int(rng.integers(4, 10))
         y = rng.normal(size=(n, int(rng.integers(2, 6))))
         p = random_conditionals(rng, n)
-        sup = (supervised_targets(np.arange(n) % 3), 0.5) if trial == 3 else None
+        sup = (np.arange(n) % 3, 0.5) if trial == 3 else None
         analytic = pkt_loss_and_grad(y, p, spec, sup).grad_y
         numeric = finite_difference(lambda yy: pkt_loss_and_grad(yy, p, spec, sup).value, y)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -128,9 +102,8 @@ def test_sup_weight_zero_equals_unsupervised():
     rng = np.random.default_rng(6)
     y = rng.normal(size=(6, 3))
     p = random_conditionals(rng, 6)
-    targets = supervised_targets([0, 0, 1, 1, 2, 2])
     plain = pkt_loss_and_grad(y, p, cosine_kernel())
-    zeroed = pkt_loss_and_grad(y, p, cosine_kernel(), sup=(targets, 0.0))
+    zeroed = pkt_loss_and_grad(y, p, cosine_kernel(), sup=([0, 0, 1, 1, 2, 2], 0.0))
     assert zeroed.value == plain.value
     assert np.array_equal(zeroed.grad_y, plain.grad_y)
 
@@ -139,13 +112,14 @@ def test_sup_term_adds_weighted_kl_and_correct_grad():
     rng = np.random.default_rng(7)
     y = rng.normal(size=(6, 3))
     p = random_conditionals(rng, 6)
-    targets = supervised_targets([0, 0, 1, 1, 2, 2])
+    labels = [0, 0, 1, 1, 2, 2]
     weight = 0.01
     q = conditional_probabilities(y, cosine_kernel())
-    combined = pkt_loss_and_grad(y, p, cosine_kernel(), sup=(targets, weight))
+    combined = pkt_loss_and_grad(y, p, cosine_kernel(), sup=(labels, weight))
+    targets = supervised_targets_oracle(labels)
     assert combined.value == pytest.approx(kl_loss(p, q) + weight * kl_loss(targets, q), abs=1e-12)
     numeric = finite_difference(
-        lambda yy: pkt_loss_and_grad(yy, p, cosine_kernel(), sup=(targets, weight)).value, y
+        lambda yy: pkt_loss_and_grad(yy, p, cosine_kernel(), sup=(labels, weight)).value, y
     )
     assert max_relative_error(combined.grad_y, numeric) < 1e-4
 
@@ -167,10 +141,49 @@ def test_grad_input_validation():
         pkt_loss_and_grad(y, random_conditionals(rng, 4), cosine_kernel())
     with pytest.raises(ValueError):
         pkt_loss_and_grad(y, random_conditionals(rng, 5), cosine_kernel(),
-                          sup=(np.zeros((4, 4)), 0.1))
+                          sup=(np.zeros(4), 0.1))
     with pytest.raises(ValueError):
         pkt_loss_and_grad(y, random_conditionals(rng, 5), cosine_kernel(),
-                          sup=(np.zeros((5, 5)), -0.5))
+                          sup=(np.zeros(5), -0.5))
+
+
+    with pytest.raises(ValueError, match="one label per student row"):
+        pkt_loss_and_grad(y, random_conditionals(rng, 5), cosine_kernel(),
+                          sup=(supervised_targets_oracle([0, 0, 1, 1, 2]), 0.1))
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
+def test_distinct_labels_add_nothing(spec):
+    # no sample has a same-class partner: the supervised term is zero, bit for bit
+    rng = np.random.default_rng(23)
+    y = rng.normal(size=(9, 3))
+    p = random_conditionals(rng, 9)
+    plain = pkt_loss_and_grad(y, p, spec)
+    distinct = pkt_loss_and_grad(y, p, spec, sup=(rng.permutation(9), 0.7))
+    assert distinct.value == plain.value
+    assert distinct.grad_y.tobytes() == plain.grad_y.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(3, 14), gaussian=st.booleans(), width=st.floats(0.05, 8.0),
+       weight=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_value_matches_the_dense_kl_for_drawn_labels(data, n, gaussian, width, weight, seed):
+    # few classes give singletons and shared classes; a permutation gives all-distinct labels
+    labels = data.draw(st.one_of(hnp.arrays(np.int64, n, elements=st.integers(0, 3)),
+                                 st.permutations(range(n)).map(np.array)))
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, int(rng.integers(2, 6))))
+    p = random_conditionals(rng, n)
+    np.fill_diagonal(p, rng.uniform(0.0, 1.0, size=n))  # every sum skips the diagonal
+    spec = gaussian_kernel(width) if gaussian else cosine_kernel()
+    value = pkt_loss_and_grad(y, p, spec, sup=(labels, weight)).value
+    targets = supervised_targets_oracle(labels)
+    q = conditional_probabilities(y, spec)
+    if not gaussian or np.min(q[~np.eye(n, dtype=bool)]) > Q_FLOOR:
+        expected = kl_loss(p, q) + weight * kl_loss(targets, q)
+    else:  # kl_loss would clamp the small conditionals, which the Gaussian value takes exactly
+        expected = dense_gaussian_reference(y, p, width, (targets, weight))[0]
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def kl_loss_oracle(p, q):
@@ -182,7 +195,7 @@ def kl_loss_oracle(p, q):
 
 
 def supervised_targets_oracle(labels):
-    """supervised_targets written column by column over the slots that have partners."""
+    """Label-derived targets, uniform over same-class partners, written column by column; a slot without partners is a zero column."""
     labels = np.asarray(labels)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
@@ -204,24 +217,11 @@ def test_kl_loss_matches_the_gather_expression_bit_for_bit(data, n):
 
 @pytest.mark.parametrize("n", [128, 300])
 def test_kl_loss_gathers_in_blocks_without_changing_the_sum(n):
-    # at n = 300 the terms are gathered in six blocks of rows
     rng = np.random.default_rng(n)
     p = random_conditionals(rng, n)
     p[rng.random((n, n)) < 0.3] = 0.0
     q = random_conditionals(rng, n)
     assert kl_loss(p, q).hex() == kl_loss_oracle(p, q).hex()
-
-
-@settings(max_examples=100, deadline=None)
-@given(labels=hnp.arrays(np.int64, st.integers(2, 12), elements=st.integers(0, 4)))
-def test_supervised_targets_into_out_match_the_column_expression(labels):
-    if np.unique(labels).size == labels.size:
-        return  # all singletons: raises, covered above
-    out = np.full((labels.size, labels.size), np.nan)
-    assert supervised_targets(labels, out=out) is out
-    expected = supervised_targets_oracle(labels).tobytes()
-    assert out.tobytes() == expected
-    assert supervised_targets(labels).tobytes() == expected
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
@@ -232,7 +232,7 @@ def test_workspace_leaves_value_and_gradient_bit_identical(spec, weight, b):
     rng = np.random.default_rng(b)
     y = rng.normal(size=(b, 3))
     p = random_conditionals(rng, b)
-    sup = None if weight is None else (supervised_targets(rng.integers(0, 3, size=b)), weight)
+    sup = None if weight is None else (rng.integers(0, 3, size=b), weight)
     workspace = [np.full(big * big, np.nan) for _ in range(LOSS_BUFFERS)]
     fresh = pkt_loss_and_grad(y, p, spec, sup)
     reused = pkt_loss_and_grad(y, p, spec, sup, workspace=workspace)
@@ -244,12 +244,9 @@ def test_workspace_leaves_value_and_gradient_bit_identical(spec, weight, b):
     q = conditional_probabilities(y, spec)
     expected = kl_loss(p, q)
     if sup is not None:
-        expected += weight * kl_loss(sup[0], q)
-    if spec.family == "cosine":
-        assert fresh.value == expected
-    else:  # the log-domain value sums other terms; nothing is clamped here
-        assert np.min(q[~np.eye(b, dtype=bool)]) > Q_FLOOR
-        assert fresh.value == pytest.approx(expected, rel=1e-12)
+        expected += weight * kl_loss(supervised_targets_oracle(sup[0]), q)
+    assert np.min(q[~np.eye(b, dtype=bool)]) > Q_FLOOR  # the Gaussian value does not clamp; kl_loss would
+    assert fresh.value == pytest.approx(expected, rel=1e-12)
 
 
 def test_workspace_validation():
@@ -320,8 +317,9 @@ def test_gaussian_value_and_gradient_match_dense_references(width, supervised):
         n = int(rng.integers(3, 40))
         y = rng.normal(size=(n, int(rng.integers(1, 6))))
         p = random_conditionals(rng, n)
-        sup = (supervised_targets(rng.integers(0, 3, size=n) if n > 3 else [0, 0, 1]), 0.4) if supervised else None
-        report = pkt_loss_and_grad(y, p, gaussian_kernel(width), sup)
+        labels = (rng.integers(0, 3, size=n) if n > 3 else [0, 0, 1]) if supervised else None
+        report = pkt_loss_and_grad(y, p, gaussian_kernel(width), None if labels is None else (labels, 0.4))
+        sup = None if labels is None else (supervised_targets_oracle(labels), 0.4)
         value, grad, q = dense_gaussian_reference(y, p, width, sup)
         assert report.value == pytest.approx(value, rel=1e-12)
         assert np.max(np.abs(report.grad_y - grad)) <= 1e-12 * np.max(np.abs(grad))

@@ -1,16 +1,30 @@
 """Golden bit-identity: two small fixed training runs, pinned by sha256.
 
-Each digest covers the library run's loss trace and final parameters
-(raw float bytes) and the model file and loss-log bytes of one
-``pkt transfer`` CLI run on the same data.  A refactor of the training
-path must leave both digests unchanged; a change that moves numbers on
-purpose updates them and says so in CHANGES.md.
+Each training run has two digests.  The parameters digest covers the
+library run's final parameters (raw float bytes) and the model file of
+one ``pkt transfer`` CLI run on the same data; the losses digest covers
+the library run's loss trace and the CLI run's loss log.  A refactor of
+the training path must leave every digest unchanged; a change that
+moves numbers on purpose updates the ones it moves and says so in
+CHANGES.md.  A change to the loss value alone moves only a losses
+digest.
 
 The digests pin last bits, so they hold for one floating-point stack:
-they were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
+they were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.  The
+AVX-512 (SkylakeX) and AVX2 (Haswell) kernels of OpenBLAS accumulate
+products differently, so each has its own set, keyed by the name of the
+kernel the running OpenBLAS picked.  On a kernel without a pinned set
+the digest tests are skipped, naming that kernel; the dense QMI values
+below are checked everywhere.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +40,40 @@ CASES = {
                                 "--sup-weight", "0.5"]),
 }
 
+
+def openblas_core() -> str:
+    """Name of the kernel that numpy's bundled OpenBLAS runs, e.g. "SkylakeX"; "" if it cannot be read."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return ""
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+CORE = openblas_core()
+
 GOLDEN = {
-    "cosine": "82e3d21106d91171d68c77371a566f18353e47e25817b0c9b2fad7fd8672883a",
-    "gaussian_sup": "d39673f2e0be7e8bf2c35d54a2cf33b1f65589504709829607ee9dd68c666538",
+    "SkylakeX": {
+        "cosine": {"parameters": "2e3ebfd130abf3f045b52dab4e6ba3d87369c8e2c8d66031bd6239591aa03e1f",
+                   "losses": "a87dbaf7f4585c70681d2ff9c6e8de039cb94699fdf0999e5ef86a26d873be45"},
+        "gaussian_sup": {"parameters": "28a72319164940482e93cdf35cd58a940afe965c7ed32d2ecfb1ab49ed376387",
+                         "losses": "63e9c9fec722075607bedab608944b9dd4a8c98598d24e8cfb961af2d8c07a12"},
+    },
+    "Haswell": {
+        "cosine": {"parameters": "c0d33ca8a6584e6709b4d5b9ccd16f342ffb7b5965dd1c85ba3ace96f7c78bf4",
+                   "losses": "1dc5d381b19b9fd28bd45e2419900d62d78b61879d60256414c728a627f957d7"},
+        "gaussian_sup": {"parameters": "40e908d55e433e3e404ac846094c498cc86ba87cdc846041a62bdf74d68e1495",
+                         "losses": "c6c6f3db3f4a43454def053f9322f523b0910519b6ac0ac3d4d6fe7bb97abaed"},
+    },
 }
+
+
+def pinned(digests):
+    if CORE not in digests:
+        pytest.skip(f"no golden digests are pinned for the OpenBLAS kernel {CORE or '(unknown)'}")
+    return digests[CORE]
 
 
 def golden_digest(case, tmp_path):
@@ -53,27 +97,35 @@ def golden_digest(case, tmp_path):
                "--loss-log", str(tmp_path / "loss.txt"), *c["flags"]])
     assert rc == 0
 
-    h = hashlib.sha256()
-    h.update(np.array([(e.epoch, e.batch, e.loss) for e in trace]).tobytes())
+    parameters = hashlib.sha256()
     for p in model.parameters():
-        h.update(np.ascontiguousarray(p).tobytes())
-    h.update((tmp_path / "model.txt").read_bytes())
-    h.update((tmp_path / "loss.txt").read_bytes())
-    return h.hexdigest()
+        parameters.update(np.ascontiguousarray(p).tobytes())
+    parameters.update((tmp_path / "model.txt").read_bytes())
+    losses = hashlib.sha256(np.array([(e.epoch, e.batch, e.loss) for e in trace]).tobytes())
+    losses.update((tmp_path / "loss.txt").read_bytes())
+    return {"parameters": parameters.hexdigest(), "losses": losses.hexdigest()}
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_golden_training_digest(case, tmp_path):
-    assert golden_digest(case, tmp_path) == GOLDEN[case]
+    assert golden_digest(case, tmp_path) == pinned(GOLDEN)[case]
 
 
 # The analysis commands on a 300-row database and 90 queries: both sizes
 # span several row blocks of the blocked kernel sums and ranking.
 ANALYSIS_GOLDEN = {
-    "embed": "ae0be527de7f2594fe8aebe6304dc80b5c11878c79083fbdd759c9995a27466f",
-    "eval": "da20630335b33dad5aa40238e01b2950a9657216b344f9181b00036671b73336",
-    "qmi_cosine": "fe0eea016a93d911ec606655372b601a4eb79fadf205d7743f0f29def48067c3",
-    "qmi_gaussian": "12a4992bb853922179029ce1d77f93038bdc184da3ec3fbe09204a2d9ce31d22",
+    "SkylakeX": {
+        "embed": "ae0be527de7f2594fe8aebe6304dc80b5c11878c79083fbdd759c9995a27466f",
+        "eval": "da20630335b33dad5aa40238e01b2950a9657216b344f9181b00036671b73336",
+        "qmi_cosine": "fe0eea016a93d911ec606655372b601a4eb79fadf205d7743f0f29def48067c3",
+        "qmi_gaussian": "12a4992bb853922179029ce1d77f93038bdc184da3ec3fbe09204a2d9ce31d22",
+    },
+    "Haswell": {
+        "embed": "ae0be527de7f2594fe8aebe6304dc80b5c11878c79083fbdd759c9995a27466f",
+        "eval": "da20630335b33dad5aa40238e01b2950a9657216b344f9181b00036671b73336",
+        "qmi_cosine": "34722d84d4ed37662ce2a3f3664b2f41845ad4f111f99a55cc771e01bed09b56",
+        "qmi_gaussian": "12a4992bb853922179029ce1d77f93038bdc184da3ec3fbe09204a2d9ce31d22",
+    },
 }
 
 # `pkt qmi` values printed by the dense N x N implementation on the same
@@ -119,7 +171,7 @@ def analysis_outputs(tmp_path, capsys):
 
 def test_golden_analysis_digests(tmp_path, capsys):
     outputs = analysis_outputs(tmp_path, capsys)
-    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == ANALYSIS_GOLDEN
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == pinned(ANALYSIS_GOLDEN)
 
 
 @pytest.mark.parametrize("case", list(DENSE_QMI))
@@ -128,3 +180,27 @@ def test_qmi_output_matches_dense_values(case, tmp_path, capsys):
     assert set(printed) == set(DENSE_QMI[case])
     for key, value in DENSE_QMI[case].items():
         assert abs(float(printed[key]) - value) <= 1e-15
+
+
+# Prints the kernel OpenBLAS picked, then runs this file's other tests.
+UNDER_HASWELL = """
+import sys
+import pytest
+import test_golden
+print(test_golden.CORE, flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "-k", "not haswell", test_golden.__file__]))
+"""
+
+
+def test_golden_digests_hold_under_the_haswell_kernel():
+    # OPENBLAS_CORETYPE forces the AVX2 kernel for the child process only
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", UNDER_HASWELL], cwd=here, env=env, capture_output=True,
+                          text=True, timeout=300)
+    core, _, report = proc.stdout.partition("\n")
+    if core != "Haswell":
+        pytest.skip(f"OpenBLAS cannot run its Haswell kernel on this CPU (it picked {core or '(unknown)'})")
+    assert proc.returncode == 0, report + proc.stderr
+    assert "5 passed" in report and "skipped" not in report, report

@@ -87,6 +87,18 @@ def test_supervised_training_runs():
     assert all(np.isfinite(e.loss) for e in trace)
 
 
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
+def test_batches_of_distinct_labels_train(spec):
+    # 10 classes in batches of 8: some batches hold no two samples of one class
+    raw, teacher, _ = small_problem(n=800)
+    labels = np.random.default_rng(5).integers(0, 10, size=800)
+    chunks = sample_batch(800, 8, 0, 0)
+    assert any(np.unique(labels[idx]).size == idx.size for idx in chunks)
+    cfg = TrainConfig(batch_size=8, lr=1e-3, teacher_spec=spec, student_spec=spec, sup_weight=0.5)
+    _, trace = train(init_student([6, 4], seed=0), raw, teacher, labels, cfg)
+    assert len(trace) == len(chunks) and all(np.isfinite(e.loss) for e in trace)
+
+
 def test_gaussian_kernels_train():
     raw, teacher, _ = small_problem(n=40)
     cfg = TrainConfig(epochs=2, batch_size=10, seed=0,
@@ -152,11 +164,8 @@ def test_cached_teacher_conditionals_match_public_ones(spec, order):
                                                     scratch=scratch[: b * b].reshape(b, b))
             public = conditional_probabilities(teacher[idx], spec)
             assert cached.tobytes() == public.tobytes()
-            if spec.family == "cosine":
-                assert p_log_p is None
-            else:
-                off = ~np.eye(b, dtype=bool)
-                assert p_log_p == pytest.approx(np.sum(public[off] * np.log(public[off])), rel=1e-12)
+            off = ~np.eye(b, dtype=bool)
+            assert p_log_p == pytest.approx(np.sum(public[off] * np.log(public[off])), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(3.0)])
