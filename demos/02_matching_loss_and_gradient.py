@@ -66,5 +66,5 @@ print("slots with a same-class partner:", (targets.sum(axis=0) > 0).tolist())
 
 combined = pkt_loss_and_grad(student, p, spec, sup=(labels, 0.01))
 print("loss with a 0.01-weighted label term:", combined.value)
-print("which equals main + 0.01 * label KL:",
+print("which matches main + 0.01 * label KL to rounding:",
       report.value + 0.01 * kl_loss(targets, q))

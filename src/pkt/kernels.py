@@ -12,7 +12,8 @@ The Gaussian ``width`` is the *full* scale denominator::
 Callers pass one number; no squaring or doubling happens internally.
 The Gaussian core computes the logits ``-d^2 / width`` and then their
 exponential; Gaussian conditionals start from the logits, so they are
-normalized in the log domain and never underflow.
+normalized in the log domain and never underflow.  Corpus-scale sums
+get a whole tile of logits from one product of augmented rows.
 """
 
 from __future__ import annotations
@@ -100,16 +101,18 @@ def _row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _upper_tiles(n: int) -> Iterator[tuple[slice, slice]]:
-    """``(rs, cs)`` slice pairs of the ``TILE``-sided tiles that cover the upper triangle of an n x n matrix.
+def _upper_tiles(n: int, height: int = TILE, width: int = TILE) -> Iterator[tuple[slice, slice]]:
+    """``(rs, cs)`` slice pairs of the ``height`` x ``width`` tiles that cover the upper triangle of n x n.
 
-    A diagonal tile has ``rs == cs``; every other pair (i, j) with
-    i < j lies in exactly one off-diagonal tile, above the diagonal.
+    Each range ``rs`` of ``height`` rows is walked from its own first
+    column to the last, so the diagonal block ``[rs, rs]`` is covered
+    whole, and every other pair (i, j) with i < j lies in exactly one
+    tile, above the diagonal.
     """
-    for lo in range(0, n, TILE):
-        rs = slice(lo, min(lo + TILE, n))
-        for c_lo in range(lo, n, TILE):
-            yield rs, slice(c_lo, min(c_lo + TILE, n))
+    for lo in range(0, n, height):
+        rs = slice(lo, min(lo + height, n))
+        for c_lo in range(lo, n, width):
+            yield rs, slice(c_lo, min(c_lo + width, n))
 
 
 def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
@@ -141,22 +144,10 @@ def _mirrored_tiles(rows: np.ndarray, stats: np.ndarray, core, out: np.ndarray |
     out = np.empty((n, n)) if out is None else out
     gram = np.empty(min(n, TILE) ** 2)
     for rs, cs in _upper_tiles(n):
-        tile = core(_gram_tile(rows, rs, cs, gram), stats[rs], stats[cs], out=out[rs, cs])
+        tile = core(_gram_tile(rows, rows, rs, cs, gram), stats[rs], stats[cs], out=out[rs, cs])
         if cs.start > rs.start:
             out[cs, rs] = tile.T
     return out
-
-
-def _upper_block(rows: np.ndarray, stats: np.ndarray, lo: int, hi: int, spec: KernelSpec) -> np.ndarray:
-    """``K[lo:hi, lo:]`` of prepared rows and their :func:`_row_stats`.
-
-    Consecutive row ranges ``[lo, hi)`` give blocks that cover the upper
-    triangle of the kernel matrix K, each in O((hi - lo) * N) memory: a
-    pair (i, j) with i < j in different ranges appears once, outside the
-    square sub-block ``K[lo:hi, lo:hi]``; pairs within one range and the
-    self-pairs appear in that square sub-block, which is not symmetrized.
-    """
-    return _kernel_of_gram(rows[lo:hi] @ rows[lo:].T, stats[lo:hi], stats[lo:], spec)
 
 
 def _kernel_tile(rows: np.ndarray, stats: np.ndarray, rs: slice, cs: slice, spec: KernelSpec,
@@ -167,18 +158,54 @@ def _kernel_tile(rows: np.ndarray, stats: np.ndarray, rs: slice, cs: slice, spec
     ``out`` is another or an array of the tile's shape, such as a view
     into a whole kernel matrix; the Gram product goes into ``gram`` and
     the kernel values, returned as a view, into ``out``.  The arithmetic
-    is that of :func:`_upper_block`, but BLAS may round an entry of a
-    tile-sized product differently from the same entry of a block-wide
-    one, so a value can differ from the block's in its last bits.
+    is that of :func:`kernel_matrix`, but BLAS may round an entry of a
+    product of one shape differently from the same entry of another, so
+    a value can differ from the matrix's in its last bits.
     """
-    g = _gram_tile(rows, rs, cs, gram)
+    g = _gram_tile(rows, rows, rs, cs, gram)
     return _kernel_of_gram(g, stats[rs], stats[cs], spec, out=out[: g.size].reshape(g.shape))
 
 
-def _gram_tile(rows: np.ndarray, rs: slice, cs: slice, gram: np.ndarray) -> np.ndarray:
-    """``rows[rs] @ rows[cs].T``, written into the flat buffer ``gram``."""
+def _gram_tile(a: np.ndarray, b: np.ndarray, rs: slice, cs: slice, gram: np.ndarray) -> np.ndarray:
+    """``a[rs] @ b[cs].T``, written into the flat buffer ``gram``."""
     shape = (rs.stop - rs.start, cs.stop - cs.start)
-    return np.matmul(rows[rs], rows[cs].T, out=gram[: shape[0] * shape[1]].reshape(shape))
+    return np.matmul(a[rs], b[cs].T, out=gram[: shape[0] * shape[1]].reshape(shape))
+
+
+def _augmented_rows(rows: np.ndarray, stats: np.ndarray, width: float,
+                    order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``a = [x, -s/width, -1]`` and ``b = [2x/width, 1, s/width]`` of rows x and their squared norms s.
+
+    ``a_i . b_j = -(s_i + s_j - 2 x_i . x_j) / width`` is the Gaussian
+    logit of the pair, so one product gives a whole tile of logits; see
+    :func:`_gaussian_tile`.  Each is an N x (D + 2) array with its rows
+    taken in ``order``, and ``b`` is built from ``a``, so no third copy
+    of the rows is held.  The logits are finite as long as ``s / width`` is.
+    """
+    n, d = rows.shape
+    stats = stats[order]
+    a = np.empty((n, d + 2))
+    a[:, :d] = rows[order]
+    np.divide(stats, -width, out=a[:, d])
+    a[:, d + 1] = -1.0
+    b = np.empty((n, d + 2))
+    np.divide(a[:, :d], 0.5 * width, out=b[:, :d])
+    b[:, d] = 1.0
+    np.divide(stats, width, out=b[:, d + 1])
+    return a, b
+
+
+def _gaussian_tile(a: np.ndarray, b: np.ndarray, rs: slice, cs: slice, buf: np.ndarray) -> np.ndarray:
+    """Gaussian ``K[rs, cs] = exp(min(a[rs] @ b[cs].T, 0))`` of :func:`_augmented_rows`, in the flat ``buf``.
+
+    The minimum clips the rounding error that can make a logit positive,
+    as the clip of ``d^2`` at 0 does in :func:`_logits_of_gram`; a NaN
+    stays NaN.  The values agree with :func:`kernel_matrix` to rounding,
+    not bit for bit.
+    """
+    k = _gram_tile(a, b, rs, cs, buf)
+    np.minimum(k, 0.0, out=k)
+    return np.exp(k, out=k)
 
 
 def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spec: KernelSpec, *,

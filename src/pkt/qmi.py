@@ -7,11 +7,12 @@ both are deliberate.
 
 No function here builds the N x N kernel matrix.  Cosine potentials
 come in closed form from the class sums of the unit rows, in O(N*D)
-memory; Gaussian potentials and the equality check sum exact kernel
-values over the upper triangle one block of ``BLOCK`` rows at a
-time, in O(BLOCK*N) memory; the equality check walks each block in
-tiles of ``TILE`` columns, in O(BLOCK*TILE) memory.  C classes add at
-most the O(C*D) class sums of the cosine form.
+memory.  Gaussian potentials and the equality check sum kernel values
+over the upper triangle in tiles of ``BLOCK`` rows by ``TILE``
+columns, one reused O(BLOCK*TILE) tile at a time; Gaussian potentials
+also hold the O(N*D) class-sorted augmented rows whose products are
+the logits.  C classes add at most the O(C*D) class sums of the
+cosine form.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import COSINE, KernelSpec, _kernel_tile, _prepared_rows, _upper_block
+from .kernels import (COSINE, KernelSpec, _augmented_rows, _gaussian_tile, _kernel_tile, _prepared_rows,
+                      _upper_tiles)
 
-# Rows per block of the blocked kernel sums: a block holds at most BLOCK x N kernel values.
+# Rows and columns of the tiles in which the kernel sums walk the upper triangle.
 BLOCK = 128
-# Columns per tile of the equality check: a tile holds at most BLOCK x TILE kernel values.
 TILE = 256
 
 
@@ -79,27 +80,49 @@ def _class_sums(feats: np.ndarray, classes: np.ndarray, sizes: np.ndarray, spec:
     """The within-class kernel sum, and per class p the sum of ``K(x_j, x_k)`` over j in p and all k.
 
     ``classes`` holds each row's class index and ``sizes`` the class sizes
-    J_p.  Cosine uses the closed form over unit rows u, with class sums
-    s_p = sum_{j in p} u_j and their total s:
+    J_p.  Both families sort the rows by class.  Cosine uses the closed
+    form over unit rows u, with class sums s_p = sum_{j in p} u_j and
+    their total s:
     sum_{k,l in p} (u_k . u_l + 1) / 2 = (s_p . s_p + J_p^2) / 2 and
     sum_{j in p, k} (u_j . u_k + 1) / 2 = (s_p . s + J_p N) / 2.
+    Gaussian walks the upper triangle of the sorted kernel matrix in
+    tiles.  A tile's row sums go to its rows, and the column sums of its
+    part right of the diagonal block (the square of its rows' own
+    columns) go to its columns.  Each class p spans one range of sorted
+    rows, so its within-class pairs in a tile form one rectangle: the
+    part inside the diagonal block counts once and the rest twice, for
+    the mirrored lower triangle.  A class that spans all of a tile's rows
+    takes its rectangle's column sums from the tile's.
     """
     rows, stats = _prepared_rows(feats, spec)
     n = rows.shape[0]
+    order = np.argsort(classes, kind="stable")
     if spec.family == COSINE:
-        order = np.argsort(classes, kind="stable")
         sums = np.add.reduceat(rows[order], np.cumsum(sizes) - sizes, axis=0)
         in_class = float(np.sum((np.einsum("ij,ij->i", sums, sums) + sizes * sizes) / 2.0))
         return in_class, (sums @ sums.sum(axis=0) + sizes * n) / 2.0
+    a, b = _augmented_rows(rows, stats, spec.width, order)
+    classes = classes[order]
+    bounds = np.cumsum(sizes).tolist()  # class p spans the sorted rows [bounds[p - 1], bounds[p])
     in_class = 0.0
     row_sums = np.zeros(n)
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        k = _upper_block(rows, stats, lo, hi, spec)
-        row_sums[lo:hi] += k.sum(axis=1)
-        row_sums[hi:] += k[:, hi - lo :].sum(axis=0)
-        k *= classes[lo:hi, None] == classes[None, lo:]
-        in_class += float(k[:, : hi - lo].sum()) + 2.0 * float(k[:, hi - lo :].sum())
+    buf, ones, weights = np.empty(BLOCK * TILE), np.ones(max(BLOCK, TILE)), np.empty(TILE)
+    for rs, cs in _upper_tiles(n, BLOCK, TILE):
+        k = _gaussian_tile(a, b, rs, cs, buf)
+        height, width = k.shape
+        row_sums[rs] += k @ ones[:width]
+        col = ones[:height] @ k
+        upper = max(rs.stop - cs.start, 0)  # the tile's first column right of the diagonal block
+        row_sums[cs.start + upper : cs.stop] += col[upper:]
+        w = weights[:width]  # a pair right of the diagonal block also stands for its mirror
+        w[:upper], w[upper:] = 1.0, 2.0
+        first = max(classes[rs.start], classes[cs.start])
+        for p in range(first, min(classes[rs.stop - 1], classes[cs.stop - 1]) + 1):  # classes in both ranges
+            start = bounds[p - 1] if p else 0
+            r0, r1 = max(start - rs.start, 0), min(bounds[p], rs.stop) - rs.start
+            c0, c1 = max(start - cs.start, 0), min(bounds[p], cs.stop) - cs.start
+            part = col[c0:c1] if r1 - r0 == height else ones[: r1 - r0] @ k[r0:r1, c0:c1]  # its column sums
+            in_class += float(part @ w[c0:c1])
     return in_class, np.bincount(classes, weights=row_sums)
 
 
@@ -128,12 +151,9 @@ def potential_equality_check(
     s_rows, s_stats = _prepared_rows(student, spec_s)
     gram, k_t, k_s = (np.empty(BLOCK * TILE) for _ in range(3))
     worst = 0.0
-    for lo in range(0, n, BLOCK):
-        rs = slice(lo, min(lo + BLOCK, n))
-        for c_lo in range(lo, n, TILE):  # the columns of _upper_block(lo, lo + BLOCK)
-            cs = slice(c_lo, min(c_lo + TILE, n))
-            dev = _kernel_tile(t_rows, t_stats, rs, cs, spec_t, gram, k_t)
-            dev -= _kernel_tile(s_rows, s_stats, rs, cs, spec_s, gram, k_s)
-            worst = np.maximum(worst, np.abs(dev, out=dev).max())  # np.maximum keeps a NaN
+    for rs, cs in _upper_tiles(n, BLOCK, TILE):
+        dev = _kernel_tile(t_rows, t_stats, rs, cs, spec_t, gram, k_t)
+        dev -= _kernel_tile(s_rows, s_stats, rs, cs, spec_s, gram, k_s)
+        worst = np.maximum(worst, np.abs(dev, out=dev).max())  # np.maximum keeps a NaN
     max_dev = float(worst)
     return EqualityReport(max_deviation=max_dev, within_tol=max_dev <= tol, tol=tol)

@@ -2,8 +2,10 @@
 
 At N = 3000 one N x N float64 matrix is 72 MB; each traced peak must stay
 below a quarter of that.  The equality check holds only its prepared
-rows and three tiles, whatever N.  Reading a feature file holds little
-more than the array it returns, not a Python float per value.
+rows and three tiles, whatever N; Gaussian potentials hold their
+augmented rows and one tile, whatever the number of classes.  Reading a
+feature file holds little more than the array it returns, not a Python
+float per value.
 """
 
 import tracemalloc
@@ -69,6 +71,26 @@ def test_equality_check_holds_three_tiles(n, family):
         tracemalloc.stop()
     # the prepared copies of both inputs, the tiles, and 256 KB for everything else
     assert peak <= 2 * teacher.nbytes + 3 * BLOCK * TILE * 8 + 256 * 1024
+
+
+@pytest.mark.parametrize("classes", ["10", "n"])
+@pytest.mark.parametrize("n", [3000, 6000])
+def test_gaussian_potentials_hold_augmented_rows_and_one_tile(n, classes):
+    rng = np.random.default_rng(n)
+    feats = rng.normal(size=(n, 16))
+    labels = rng.integers(0, 10, size=n) if classes == "10" else rng.permutation(n)
+    tracemalloc.start()
+    try:
+        information_potentials(feats, labels, gaussian_kernel(8.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two augmented copies of the rows (D + 2 columns each), one tile,
+    # 16 values per row for the per-row vectors (squared norms, class
+    # indices, sort order, row sums, np.unique's work arrays and the class
+    # bounds), and 64 KB for everything else
+    augmented = 2 * feats.shape[0] * (feats.shape[1] + 2) * 8
+    assert peak <= augmented + BLOCK * TILE * 8 + 16 * n * 8 + 64 * 1024
 
 
 def test_feature_read_holds_about_one_copy_of_the_array(tmp_path):

@@ -216,7 +216,7 @@ def test_kl_loss_matches_the_gather_expression_bit_for_bit(data, n):
 
 
 @pytest.mark.parametrize("n", [128, 300])
-def test_kl_loss_gathers_in_blocks_without_changing_the_sum(n):
+def test_kl_loss_of_sparse_conditionals_matches_the_oracle_bit_for_bit(n):
     rng = np.random.default_rng(n)
     p = random_conditionals(rng, n)
     p[rng.random((n, n)) < 0.3] = 0.0

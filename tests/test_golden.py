@@ -112,24 +112,24 @@ def test_golden_training_digest(case, tmp_path):
 
 
 # The analysis commands on a 300-row database and 90 queries: both sizes
-# span several row blocks of the blocked kernel sums and ranking.
+# span several tiles of the kernel sums and several blocks of ranking.
 ANALYSIS_GOLDEN = {
     "SkylakeX": {
         "embed": "ae0be527de7f2594fe8aebe6304dc80b5c11878c79083fbdd759c9995a27466f",
         "eval": "da20630335b33dad5aa40238e01b2950a9657216b344f9181b00036671b73336",
         "qmi_cosine": "fe0eea016a93d911ec606655372b601a4eb79fadf205d7743f0f29def48067c3",
-        "qmi_gaussian": "12a4992bb853922179029ce1d77f93038bdc184da3ec3fbe09204a2d9ce31d22",
+        "qmi_gaussian": "a01844b6190c951376270920240662539bfdd3df7896934941b104a049c385e2",
     },
     "Haswell": {
         "embed": "ae0be527de7f2594fe8aebe6304dc80b5c11878c79083fbdd759c9995a27466f",
         "eval": "da20630335b33dad5aa40238e01b2950a9657216b344f9181b00036671b73336",
         "qmi_cosine": "34722d84d4ed37662ce2a3f3664b2f41845ad4f111f99a55cc771e01bed09b56",
-        "qmi_gaussian": "12a4992bb853922179029ce1d77f93038bdc184da3ec3fbe09204a2d9ce31d22",
+        "qmi_gaussian": "bd4db98db7ac4f0af2e63d6041b1a0f5f42ff155d42c66ebf785ab5a39029bc3",
     },
 }
 
 # `pkt qmi` values printed by the dense N x N implementation on the same
-# data; the blocked sums may move last digits, by at most 1e-15.
+# data; the tiled sums may move last digits, by at most 1e-15.
 DENSE_QMI = {
     "qmi_cosine": {"v_in": 0.19210312809000549, "v_all": 0.17888798816388171,
                    "v_btw": 0.17901128803060742, "qmi": 0.012968540192672351},

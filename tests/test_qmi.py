@@ -15,7 +15,7 @@ from pkt import (
 )
 from pkt import qmi
 from pkt.kernels import NORM_EPS
-from pkt.qmi import BLOCK
+from pkt.qmi import BLOCK, TILE
 
 
 def kernel_eval(a, b, spec):
@@ -78,6 +78,19 @@ def test_matches_naive_loops(spec):
         assert abs(pots.v_all - v_all) <= 1e-12
         assert abs(pots.v_btw - v_btw) <= 1e-12
         assert pots.qmi == pytest.approx(v_in + v_all - 2.0 * v_btw, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_gaussian_potentials_match_naive_loops_at_every_row_width(dim):
+    # the Gaussian sums work on rows of dim + 2 columns; some numpy ufunc
+    # loops (np.negative in numpy 2.4) miscompute a column of 8-wide rows
+    rng = np.random.default_rng(dim)
+    feats = rng.normal(size=(13, dim))
+    labels = rng.integers(0, 3, size=13)
+    spec = gaussian_kernel(2.0)
+    pots = information_potentials(feats, labels, spec)
+    for got, want in zip((pots.v_in, pots.v_all, pots.v_btw), naive_potentials(feats, labels, spec)):
+        assert abs(got - want) <= 1e-12
 
 
 def test_single_class_qmi_is_zero():
@@ -152,17 +165,24 @@ BOUNDARY_SIZES = {"2": lambda b: 2, "B-1": lambda b: b - 1, "B": lambda b: b,
 @pytest.mark.parametrize("size", list(BOUNDARY_SIZES))
 def test_blocked_sums_across_block_boundaries(block, size, monkeypatch):
     # the loop oracle is too slow for sizes around the real BLOCK, so the
-    # potentials are checked against it with a small block in force
+    # potentials are checked against it with small 8 x 16 tiles in force
     n = BOUNDARY_SIZES[size](block)
     monkeypatch.setattr(qmi, "BLOCK", block)
+    monkeypatch.setattr(qmi, "TILE", 2 * block if block < BLOCK else TILE)
     rng = np.random.default_rng(n)
     feats = rng.normal(size=(n, 3))
-    labels = rng.integers(0, 3, size=n)
+    layouts = {
+        "random": rng.integers(0, 3, size=n),
+        "one class over several tiles": (np.arange(n) % 5 == 2).astype(int),
+        "one class per row": n - np.arange(n),  # in reverse, so sorting by class moves every row
+        "single class": np.zeros(n, dtype=int),
+    }
     if block < BLOCK:
-        for spec in (cosine_kernel(), gaussian_kernel(2.0)):
-            pots = information_potentials(feats, labels, spec)
-            for got, want in zip((pots.v_in, pots.v_all, pots.v_btw), naive_potentials(feats, labels, spec)):
-                assert abs(got - want) <= 1e-12
+        for labels in layouts.values():
+            for spec in (cosine_kernel(), gaussian_kernel(2.0)):
+                pots = information_potentials(feats, labels, spec)
+                for got, want in zip((pots.v_in, pots.v_all, pots.v_btw), naive_potentials(feats, labels, spec)):
+                    assert abs(got - want) <= 1e-12
 
     student = feats + 0.05 * rng.normal(size=feats.shape)
     for spec_t, spec_s in [(cosine_kernel(), cosine_kernel()), (gaussian_kernel(2.0), cosine_kernel())]:
@@ -179,6 +199,16 @@ def test_equality_check_propagates_nan():
     report = potential_equality_check(feats, broken, cosine_kernel(), cosine_kernel(), tol=1.0)
     assert math.isnan(report.max_deviation)
     assert not report.within_tol
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
+@pytest.mark.parametrize("row", [0, BLOCK + 2])
+def test_one_nan_feature_makes_every_potential_nan(spec, row):
+    feats = np.random.default_rng(7).normal(size=(TILE + 40, 3))
+    feats[row, 1] = np.nan
+    labels = np.arange(TILE + 40) % 4
+    pots = information_potentials(feats, labels, spec)
+    assert all(math.isnan(getattr(pots, field)) for field in ("v_in", "v_all", "v_btw", "qmi"))
 
 
 def _labelled_sample(seed, n, classes):
