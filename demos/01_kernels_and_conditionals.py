@@ -16,7 +16,6 @@ from pkt import (
     conditional_probabilities,
     cosine_kernel,
     gaussian_kernel,
-    kernel_and_conditionals,
     kernel_matrix,
 )
 
@@ -50,13 +49,17 @@ q = conditional_probabilities(feats, cos)
 print("\nconditional matrix, column sums:", np.sum(q, axis=0))
 print("diagonal stays zero:", np.all(np.diag(q) == 0.0))
 
-# kernel_and_conditionals returns the kernel, the per-column off-diagonal
-# sums, and the conditionals in one pass when all three are needed.  The
 # Gaussian conditionals are normalized in the log domain: each column of
-# the kernel comes scaled by its largest off-diagonal entry, so the sums
-# are at least 1 at any width, however far apart the points are.
-k2, colsums, q2 = kernel_and_conditionals(feats, gauss)
-print("\ngaussian conditionals agree with the one-shot helper:",
-      np.array_equal(q2, conditional_probabilities(feats, gauss)))
-print("column sums of the column-scaled kernel:", np.array_str(colsums, precision=4))
-print("largest entry of each column:", k2.max(axis=0))
+# logits -d^2 / width is shifted by its largest off-diagonal entry before
+# the exponential, so they stay exact however small the width is.  At
+# width 1e-4 every off-diagonal affinity of these points underflows to 0,
+# yet each column still sums to 1, with all its mass on its nearest partner.
+tiny = gaussian_kernel(1e-4)
+k_tiny = kernel_matrix(feats, tiny)
+print("\nlargest off-diagonal gaussian affinity at width 1e-4:", np.max(k_tiny - np.diag(np.diag(k_tiny))))
+q_tiny = conditional_probabilities(feats, tiny)
+print("conditional column sums at width 1e-4:", np.sum(q_tiny, axis=0))
+d2 = np.sum((feats[:, None, :] - feats[None, :, :]) ** 2, axis=-1)
+np.fill_diagonal(d2, np.inf)
+print("each column's mass sits on its nearest partner:",
+      np.array_equal(np.argmax(q_tiny, axis=0), np.argmin(d2, axis=0)))

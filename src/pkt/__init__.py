@@ -10,11 +10,7 @@ potentials and retrieval quality of the learned embedding.
 
 from __future__ import annotations
 
-from .affinity import (
-    conditional_probabilities,
-    kernel_and_conditionals,
-    sample_batch,
-)
+from .affinity import conditional_probabilities, sample_batch
 from .divergence import (
     kl_loss,
     pkt_loss_and_grad,
@@ -66,7 +62,6 @@ __all__ = [
     "information_potentials",
     "init_adam",
     "init_student",
-    "kernel_and_conditionals",
     "kernel_matrix",
     "kl_loss",
     "load_model",

@@ -22,7 +22,7 @@ import logging
 
 import numpy as np
 
-from .kernels import COSINE, KernelSpec, _logits_of_rows, _prepared_rows, kernel_matrix
+from .kernels import COSINE, LOGITS_OVERFLOW, KernelSpec, _kernel_of_rows, _logits_of_rows, _prepared_rows
 
 log = logging.getLogger(__name__)
 
@@ -42,90 +42,46 @@ def _checked_features(feats: np.ndarray) -> np.ndarray:
     return feats
 
 
-def kernel_and_conditionals(
-    feats: np.ndarray, spec: KernelSpec, *, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(k, colsums, q)`` with the diagonal of ``k`` zeroed.
+def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
+                          out: np.ndarray | None = None,
+                          q_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return ``(a, q, c)``, the conditionals ``q`` of prepared rows and their :func:`_row_stats`.
 
-    ``q[:, j] = k[:, j] / colsums[j]`` is the conditional distribution
-    for slot j.  For the cosine family ``k`` is the kernel matrix.  For
-    the Gaussian, column j of ``k`` is the kernel column divided by its
-    largest off-diagonal entry, computed from the shifted logits, so
-    every column sum is at least 1.  ``out`` is an optional pair of
-    C-contiguous N x N float arrays that receive ``k`` and ``q``; by
-    default both are new.
+    Cosine: ``a`` is the kernel matrix with a zero diagonal, ``c`` its
+    column sums and ``q = a / c``; ``q_out`` may be ``out``.  Gaussian:
+    ``a`` holds the logits less their column maxima, with a zero
+    diagonal, ``c`` the log column sums of ``exp(a)`` off the diagonal,
+    and ``log q = a - c`` off the diagonal; ``q_out`` must be another
+    array than ``out``.  ``a`` is written into ``out`` and ``q`` into
+    ``q_out``, each an N x N float array or a new one when None.
     """
-    k_out, q_out = (None, None) if out is None else out
-    feats = _checked_features(feats)
     if spec.family == COSINE:
-        k = kernel_matrix(feats, spec, out=k_out)
-    else:
-        k = _shifted_logits(_logit_matrix(feats, spec, out=k_out))
-        np.exp(k, out=k)
-    return _conditionals(k, out=q_out)
-
-
-def _gaussian_log_conditionals(
-    feats: np.ndarray, spec: KernelSpec, *, out: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(shifted, q, log_colsums)`` of Gaussian features, normalized in the log domain.
-
-    ``out`` is a pair of distinct N x N float arrays that receive
-    ``shifted`` and ``q``.  ``shifted`` holds the logits less their
-    column maxima, with a zero diagonal, so that off the diagonal
-    ``log q = shifted - log_colsums``.
-    """
-    shifted = _logit_matrix(_checked_features(feats), spec, out=out[0])
-    return (shifted, *_log_conditionals(shifted, out=out[1]))
-
-
-def _logit_matrix(feats: np.ndarray, spec: KernelSpec, *, out: np.ndarray | None = None) -> np.ndarray:
-    rows, stats = _prepared_rows(feats, spec)
-    return _logits_of_rows(rows, stats, spec.width, out=out)
-
-
-def _shifted_logits(logits: np.ndarray) -> np.ndarray:
-    """Set the diagonal of a Gaussian logit matrix to -inf and subtract each column's maximum, in place.
-
-    The largest entry of every column is then 0, so the exponentials of a
-    column sum to at least 1.  A maximum that is not finite means that
-    every squared distance of its column, divided by the width, overflows.
-    """
-    np.fill_diagonal(logits, -np.inf)
-    top = logits.max(axis=0)
+        a = _kernel_of_rows(rows, stats, spec, out=out)
+        np.fill_diagonal(a, 0.0)
+        c = a.sum(axis=0)
+        if np.any(c < DENOM_FLOOR):
+            raise ValueError("degenerate geometry: a conditioning slot has near-zero kernel mass")
+        return a, np.divide(a, c[None, :], out=q_out), c
+    # The largest off-diagonal logit of each column becomes 0, so its
+    # exponentials sum to at least 1.  A maximum that is not finite means
+    # that every squared distance of its column, divided by the width,
+    # overflows.
+    a = _logits_of_rows(rows, stats, spec.width, out=out)
+    np.fill_diagonal(a, -np.inf)
+    top = a.max(axis=0)
     if not np.all(np.isfinite(top)):
-        raise ValueError("Gaussian logits overflow: squared distances divided by the width are not finite")
-    logits -= top
-    return logits
-
-
-def _conditionals(k: np.ndarray, *, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero the diagonal of the kernel matrix ``k`` in place and normalize its columns into ``out``."""
-    np.fill_diagonal(k, 0.0)
-    colsums = k.sum(axis=0)
-    if np.any(colsums < DENOM_FLOOR):
-        raise ValueError("degenerate geometry: a conditioning slot has near-zero kernel mass")
-    q = np.divide(k, colsums[None, :], out=out)
-    return k, colsums, q
-
-
-def _log_conditionals(logits: np.ndarray, *, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian conditionals ``q`` from a logit matrix, written into ``out``; returns ``(q, log_colsums)``.
-
-    ``logits`` is left holding the shifted logits with a zero diagonal,
-    as :func:`_gaussian_log_conditionals` describes; ``out`` is another
-    array of its shape.
-    """
-    shifted = _shifted_logits(logits)
-    _, colsums, q = _conditionals(np.exp(shifted, out=out), out=out)
-    np.fill_diagonal(shifted, 0.0)
-    return q, np.log(colsums)
+        raise ValueError(LOGITS_OVERFLOW)
+    a -= top
+    q = np.exp(a, out=q_out)
+    colsums = q.sum(axis=0)
+    q /= colsums[None, :]
+    np.fill_diagonal(a, 0.0)
+    return a, q, np.log(colsums)
 
 
 def conditional_probabilities(feats: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Column-stochastic conditional matrix; each slot sums to 1 over its non-self partners."""
-    _, _, q = kernel_and_conditionals(feats, spec)
-    return q
+    return _conditionals_of_rows(*_prepared_rows(_checked_features(feats), spec), spec)[1]
 
 
 def sample_batch(n_total: int, batch_size: int, rng_seed: int, epoch: int) -> list[np.ndarray]:

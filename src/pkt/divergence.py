@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import _gaussian_log_conditionals, kernel_and_conditionals
-from .kernels import COSINE, NORM_EPS, KernelSpec, _upper_tiles
+from .affinity import _checked_features, _conditionals_of_rows
+from .kernels import COSINE, NORM_EPS, KernelSpec, _prepared_rows, _upper_tiles
 
 # Floor applied to cosine student conditionals and to kl_loss's q inside
 # the log; far below any conditional reachable with cosine kernels at
@@ -188,19 +188,20 @@ def pkt_loss_and_grad(
     if sup is not None and weight > 0:
         sup_log = weight * _supervised_into(p, labels, weight, bufs[2])
         p_eff = bufs[2]
+    rows, stats = _prepared_rows(_checked_features(y), student_spec)
     cross_and_grad = _cosine_cross_and_grad if student_spec.family == COSINE else _gaussian_cross_and_grad
-    cross, grad = cross_and_grad(y, p_eff, student_spec, bufs)
+    cross, grad = cross_and_grad(rows, stats, p_eff, student_spec, bufs)
     return LossReport(value=p_log_p + sup_log - cross, grad_y=grad, n_pairs=n * (n - 1))
 
 
-def _gaussian_cross_and_grad(y, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
-    """``sum p_eff log q`` and the loss gradient for a Gaussian student, from the log-domain conditionals.
+def _gaussian_cross_and_grad(y, stats, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
+    """``sum p_eff log q`` and the loss gradient for a Gaussian student ``y`` and its squared norms.
 
     The cross term is one dot product with the shifted logits less one
     with the log column sums.  ``bufs[3]`` is not used.
     """
     l_buf, q_buf, e_buf, _ = bufs
-    shifted, q, log_colsums = _gaussian_log_conditionals(y, spec, out=(l_buf, q_buf))
+    shifted, q, log_colsums = _conditionals_of_rows(y, stats, spec, out=l_buf, q_out=q_buf)
     mass = p_eff.sum(axis=0)
     mass -= np.diagonal(p_eff)
     cross = float(np.dot(p_eff.ravel(), shifted.ravel())) - float(np.dot(mass, log_colsums))
@@ -212,14 +213,14 @@ def _gaussian_cross_and_grad(y, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
     return cross, (-2.0 / spec.width) * (w.sum(axis=1)[:, None] * y - w @ y)
 
 
-def _cosine_cross_and_grad(y, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
-    """``sum p_eff log q`` and the loss gradient for a cosine student, from the linear conditionals.
+def _cosine_cross_and_grad(u, dens, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
+    """``sum p_eff log q`` and the loss gradient for a cosine student, from its unit rows and guarded norms.
 
     The cross term takes q clamped at ``Q_FLOOR``, whose log goes into
     the gradient's buffer before the gradient is built there.
     """
     k_buf, q_buf, e_buf, g_buf = bufs
-    k, colsums, q = kernel_and_conditionals(y, spec, out=(k_buf, q_buf))
+    k, q, colsums = _conditionals_of_rows(u, dens, spec, out=k_buf, q_out=q_buf)
     log_q = np.log(np.clip(q, Q_FLOOR, 1.0, out=g_buf), out=g_buf)
     np.fill_diagonal(log_q, 0.0)
     cross = float(np.dot(p_eff.ravel(), log_q.ravel()))
@@ -231,11 +232,8 @@ def _cosine_cross_and_grad(y, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
     np.fill_diagonal(a, 0.0)
     w = _symmetrized(a, e_buf)  # p_eff is not read again
 
-    norms = np.linalg.norm(y, axis=1)
-    dens = np.maximum(norms, NORM_EPS)
-    u = y / dens[:, None]
     cos = np.multiply(k, 2.0, out=k)  # k has a zeroed diagonal; w does too
     cos -= 1.0
     coupled = np.einsum("mn,mn->m", w, cos)
-    active = norms > NORM_EPS    # below the guard the norm is constant
+    active = dens > NORM_EPS    # below the guard the norm is constant
     return cross, (w @ u - np.where(active, coupled, 0.0)[:, None] * u) / (2.0 * dens[:, None])

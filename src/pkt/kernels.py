@@ -2,8 +2,10 @@
 
 Two families are supported: a cosine-similarity affinity remapped to
 [0, 1], and a Gaussian (squared-exponential) kernel.  Both are symmetric
-and bounded, ``K(a, b) in [0, 1]``, with ``K(a, a) = 1`` for any nonzero
-vector.
+and bounded, ``K(a, b) in [0, 1]``.  ``K(a, a)`` is 1 only to rounding:
+the terms of a Gaussian self-distance ``s_a + s_a - 2 a.a`` are rounded
+apart, so it need not be 0, and dividing it by the width amplifies it;
+at a small width the diagonal can fall far below 1.
 
 The Gaussian ``width`` is the *full* scale denominator::
 
@@ -31,6 +33,9 @@ GAUSSIAN = "gaussian"
 # treated as having norm NORM_EPS, so a dead (all-zero) embedding yields
 # the neutral similarity 0.5 instead of raising mid-training.
 NORM_EPS = 1e-8
+
+# The error of a Gaussian width so small that the logits are not finite.
+LOGITS_OVERFLOW = "Gaussian logits overflow: squared distances divided by the width are not finite"
 
 # Side of the square tiles in which a whole kernel matrix is built: a
 # tile and its mirror stay in cache while one is copied into the other.
@@ -180,7 +185,9 @@ def _augmented_rows(rows: np.ndarray, stats: np.ndarray, width: float,
     logit of the pair, so one product gives a whole tile of logits; see
     :func:`_gaussian_tile`.  Each is an N x (D + 2) array with its rows
     taken in ``order``, and ``b`` is built from ``a``, so no third copy
-    of the rows is held.  The logits are finite as long as ``s / width`` is.
+    of the rows is held.  The logits are finite as long as ``s / width``
+    and ``2x / width`` are; if they are not for finite rows, the width is
+    too small and a ValueError is raised, while a NaN row stays NaN.
     """
     n, d = rows.shape
     stats = stats[order]
@@ -192,6 +199,8 @@ def _augmented_rows(rows: np.ndarray, stats: np.ndarray, width: float,
     np.divide(a[:, :d], 0.5 * width, out=b[:, :d])
     b[:, d] = 1.0
     np.divide(stats, width, out=b[:, d + 1])
+    if not np.all(np.isfinite(b)) and np.all(np.isfinite(rows)):  # a holds x, -1 and -b[:, d + 1]
+        raise ValueError(LOGITS_OVERFLOW)
     return a, b
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import _conditionals, _log_conditionals, sample_batch
+from .affinity import _conditionals_of_rows, sample_batch
 from .affinity import conditional_probabilities  # noqa: F401  (perfbench's tests read it from this module)
 from .divergence import LOSS_BUFFERS, _sum_x_log_x, pkt_loss_and_grad
-from .kernels import COSINE, KernelSpec, _kernel_of_rows, _logits_of_rows, _row_stats, cosine_kernel
+from .kernels import COSINE, KernelSpec, _row_stats, cosine_kernel
 from .student import StudentModel, adam_step, init_adam
 
 
@@ -96,10 +96,9 @@ def _teacher_conditionals(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarra
     rows, batch_stats = teacher[idx], stats[idx]
     if spec.family == COSINE:
         rows /= batch_stats[:, None]
-        _, _, p = _conditionals(_kernel_of_rows(rows, batch_stats, spec, out=out), out=out)
+        _, p, _ = _conditionals_of_rows(rows, batch_stats, spec, out=out, q_out=out)
         return p, _sum_x_log_x(p, scratch)
-    shifted = _logits_of_rows(rows, batch_stats, spec.width, out=scratch)
-    p, log_colsums = _log_conditionals(shifted, out=out)
+    shifted, p, log_colsums = _conditionals_of_rows(rows, batch_stats, spec, out=scratch, q_out=out)
     return p, float(np.dot(p.ravel(), shifted.ravel())) - float(log_colsums.sum())
 
 

@@ -4,12 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkt import (
+    COSINE,
+    BatchFailure,
+    TrainConfig,
     conditional_probabilities,
     cosine_kernel,
     gaussian_kernel,
-    kernel_and_conditionals,
+    init_student,
+    pkt_loss_and_grad,
     sample_batch,
+    train,
 )
+from pkt.affinity import _conditionals_of_rows
+from pkt.kernels import _prepared_rows
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -65,13 +72,44 @@ def test_cosine_conditionals_ignore_per_row_scale(seed, n, dim):
     assert np.max(np.abs(scaled - q)) <= 1e-12
 
 
-def test_kernel_and_conditionals_consistency():
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(1.5)], ids=["cosine", "gaussian"])
+def test_conditionals_of_rows_consistency(spec):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(9, 3))
-    k, colsums, q = kernel_and_conditionals(x, gaussian_kernel(1.5))
-    assert np.all(np.diag(k) == 0.0)
-    assert colsums == pytest.approx(k.sum(axis=0))
-    assert q == pytest.approx(k / colsums[None, :])
+    a, q, c = _conditionals_of_rows(*_prepared_rows(x, spec), spec)
+    assert np.all(np.diag(a) == 0.0)
+    assert np.array_equal(q, conditional_probabilities(x, spec))
+    if spec.family == COSINE:
+        assert np.array_equal(q, a / c[None, :])
+        return
+    # a holds the logits less each column's largest off-diagonal one, and
+    # c the log of each column's off-diagonal mass
+    off = ~np.eye(9, dtype=bool)
+    assert np.all(np.max(np.where(off, a, -np.inf), axis=0) == 0.0)
+    assert np.exp(c) == pytest.approx(np.where(off, np.exp(a), 0.0).sum(axis=0), rel=1e-15)
+    assert q[off] == pytest.approx(np.exp(a - c[None, :])[off], rel=1e-14)
+    assert np.all(np.diag(q) == 0.0)
+
+
+@pytest.mark.parametrize("spec, message", [(cosine_kernel(), "degenerate geometry"),
+                                           (gaussian_kernel(1e-310), "Gaussian logits overflow")],
+                         ids=["cosine", "gaussian"])
+def test_conditionals_errors_reach_every_caller(spec, message):
+    # two exactly opposite vectors: the only off-diagonal cosine affinity
+    # is 0, and their squared distance of 4 divided by 1e-310 overflows
+    x = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    p = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = init_student([2, 3], seed=0)
+    before = [w.copy() for w in model.parameters()]
+    cfg = TrainConfig(batch_size=2, teacher_spec=spec, student_spec=spec)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=message):
+            conditional_probabilities(x, spec)
+        with pytest.raises(ValueError, match=message):
+            pkt_loss_and_grad(x, p, spec)
+        with pytest.raises(BatchFailure, match=f"^epoch 0 batch 0: {message}"):
+            train(model, x, x, cfg=cfg)
+    assert all(np.array_equal(w, v) for w, v in zip(model.parameters(), before))
 
 
 def test_degenerate_geometry_raises():

@@ -118,6 +118,16 @@ def test_qmi_output(workdir, capsys):
     assert float(out[3].split()[1]) == pots.qmi
 
 
+def test_qmi_rejects_a_gaussian_width_whose_logits_overflow(workdir, capsys):
+    with np.errstate(over="ignore"):
+        rc = main(["qmi", "--features", str(workdir / "teacher.txt"), "--labels", str(workdir / "labels.txt"),
+                   "--kernel", "gaussian", "--sigma", "1e-310"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pkt: Gaussian logits overflow")
+
+
 def test_gradcheck_battery(capsys):
     rc = main(["gradcheck", "--seed", "0"])
     assert rc == 0

@@ -211,6 +211,22 @@ def test_one_nan_feature_makes_every_potential_nan(spec, row):
     assert all(math.isnan(getattr(pots, field)) for field in ("v_in", "v_all", "v_btw", "qmi"))
 
 
+def test_gaussian_potentials_raise_when_the_logits_of_finite_features_overflow():
+    # squared distances of about 8 divided by 1e-310 overflow; kernel_matrix
+    # stays finite there, but the potentials' augmented rows do not
+    feats = np.random.default_rng(3).normal(size=(40, 4))
+    labels = np.arange(40) % 3
+    spec = gaussian_kernel(1e-310)
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(kernel_matrix(feats, spec)))
+        with pytest.raises(ValueError, match="^Gaussian logits overflow"):
+            information_potentials(feats, labels, spec)
+    feats[5, 1] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        pots = information_potentials(feats, labels, spec)
+    assert all(math.isnan(getattr(pots, field)) for field in ("v_in", "v_all", "v_btw", "qmi"))
+
+
 def _labelled_sample(seed, n, classes):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, 3)), rng.integers(0, classes, size=n), rng
