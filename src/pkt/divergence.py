@@ -76,8 +76,7 @@ def _supervised_into(p: np.ndarray, labels: np.ndarray, weight: float, out: np.n
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     counts = same.sum(axis=0)
-    np.divide(same, np.maximum(counts, 1), out=out)
-    out *= weight
+    np.multiply(same, (1.0 / np.maximum(counts, 1)) * weight, out=out)
     out += p
     return float(np.log(1.0 / counts[counts > 0]).sum())
 
@@ -198,9 +197,11 @@ def _gaussian_cross_and_grad(y, stats, p_eff, spec, bufs) -> tuple[float, np.nda
     """``sum p_eff log q`` and the loss gradient for a Gaussian student ``y`` and its squared norms.
 
     The cross term is one dot product with the shifted logits less one
-    with the log column sums.  ``bufs[3]`` is not used.
+    with the log column sums.  The gradient never builds ``w = a + a.T``:
+    ``rowsum(w) = a.sum(1) + a.sum(0)`` and ``w @ y = a @ y + a.T @ y``.
+    Only ``bufs[0]`` and ``bufs[1]`` are used.
     """
-    l_buf, q_buf, e_buf, _ = bufs
+    l_buf, q_buf = bufs[:2]
     shifted, q, log_colsums = _conditionals_of_rows(y, stats, spec, out=l_buf, q_out=q_buf)
     mass = p_eff.sum(axis=0)
     mass -= np.diagonal(p_eff)
@@ -209,8 +210,8 @@ def _gaussian_cross_and_grad(y, stats, p_eff, spec, bufs) -> tuple[float, np.nda
     a = np.multiply(q, mass[None, :], out=q)
     a -= p_eff
     np.fill_diagonal(a, 0.0)
-    w = _symmetrized(a, e_buf)  # p_eff is not read again
-    return cross, (-2.0 / spec.width) * (w.sum(axis=1)[:, None] * y - w @ y)
+    rowsum_w = a.sum(axis=1) + a.sum(axis=0)
+    return cross, (-2.0 / spec.width) * (rowsum_w[:, None] * y - (a @ y + a.T @ y))
 
 
 def _cosine_cross_and_grad(u, dens, p_eff, spec, bufs) -> tuple[float, np.ndarray]:

@@ -13,16 +13,17 @@ The Gaussian ``width`` is the *full* scale denominator::
 
 Callers pass one number; no squaring or doubling happens internally.
 The Gaussian core computes the logits ``-d^2 / width`` and then their
-exponential; Gaussian conditionals start from the logits, so they are
-normalized in the log domain and never underflow.  Corpus-scale sums
-get a whole tile of logits from one product of augmented rows.
+exponential.  Gaussian conditionals and corpus-scale sums take their
+logits from one product of augmented rows instead, so conditionals are
+normalized in the log domain and never underflow; those logits are
+symmetric only to rounding, while :func:`kernel_matrix` is symmetric
+bit for bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -130,29 +131,27 @@ def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
     mirror tile; a diagonal tile's Gram product ``a @ a.T`` is exactly
     symmetric, so the matrix is too.
     """
-    return _mirrored_tiles(rows, stats, partial(_kernel_of_gram, spec=spec), out)
-
-
-def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float, *,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Gaussian logits ``-clip(d^2, 0) / width`` of rows and their squared norms, written into ``out``.
-
-    Built tile by tile like :func:`_kernel_of_rows`, so ``exp`` of the
-    result is the Gaussian kernel matrix of the same rows, bit for bit.
-    """
-    return _mirrored_tiles(rows, stats, partial(_logits_of_gram, width=width), out)
-
-
-def _mirrored_tiles(rows: np.ndarray, stats: np.ndarray, core, out: np.ndarray | None) -> np.ndarray:
-    """Apply ``core(g, stats_a, stats_b, out=)`` to the Gram product of every upper tile and mirror it."""
     n = rows.shape[0]
     out = np.empty((n, n)) if out is None else out
     gram = np.empty(min(n, TILE) ** 2)
     for rs, cs in _upper_tiles(n):
-        tile = core(_gram_tile(rows, rows, rs, cs, gram), stats[rs], stats[cs], out=out[rs, cs])
+        tile = _kernel_of_gram(_gram_tile(rows, rows, rs, cs, gram), stats[rs], stats[cs], spec, out=out[rs, cs])
         if cs.start > rs.start:
             out[cs, rs] = tile.T
     return out
+
+
+def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian logits ``-clip(d^2, 0) / width`` of rows and their squared norms, to rounding.
+
+    One product of :func:`_augmented_rows` gives the whole matrix, written
+    into ``out``, a C-contiguous N x N float array, or a new one when
+    None; it is symmetric only to rounding.
+    """
+    n = rows.shape[0]
+    a, b = _augmented_rows(rows, stats, width)
+    return _logits_tile(a, b, slice(0, n), slice(0, n), np.empty(n * n) if out is None else out.reshape(-1))
 
 
 def _kernel_tile(rows: np.ndarray, stats: np.ndarray, rs: slice, cs: slice, spec: KernelSpec,
@@ -178,43 +177,44 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, rs: slice, cs: slice, gram: np.ndar
 
 
 def _augmented_rows(rows: np.ndarray, stats: np.ndarray, width: float,
-                    order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    order: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``a = [x, -s/width, -1]`` and ``b = [2x/width, 1, s/width]`` of rows x and their squared norms s.
 
     ``a_i . b_j = -(s_i + s_j - 2 x_i . x_j) / width`` is the Gaussian
     logit of the pair, so one product gives a whole tile of logits; see
-    :func:`_gaussian_tile`.  Each is an N x (D + 2) array with its rows
-    taken in ``order``, and ``b`` is built from ``a``, so no third copy
-    of the rows is held.  The logits are finite as long as ``s / width``
-    and ``2x / width`` are; if they are not for finite rows, the width is
-    too small and a ValueError is raised, while a NaN row stays NaN.
+    :func:`_logits_tile`.  Each is an N x (D + 2) array with its rows
+    taken in ``order`` (all, in place, by default); ``b`` is built from
+    ``a``, so no reordered copy of the rows outlives ``a``.  The logits
+    are finite as long as ``s / width`` and ``2x / width`` are; if they
+    are not for finite rows, the width is too small and a ValueError is
+    raised, while a NaN row stays NaN.
     """
     n, d = rows.shape
     stats = stats[order]
     a = np.empty((n, d + 2))
     a[:, :d] = rows[order]
-    np.divide(stats, -width, out=a[:, d])
     a[:, d + 1] = -1.0
     b = np.empty((n, d + 2))
-    np.divide(a[:, :d], 0.5 * width, out=b[:, :d])
     b[:, d] = 1.0
-    np.divide(stats, width, out=b[:, d + 1])
+    with np.errstate(over="ignore"):  # an overflow is named below
+        np.divide(stats, -width, out=a[:, d])
+        np.divide(a[:, :d], 0.5 * width, out=b[:, :d])
+        np.divide(stats, width, out=b[:, d + 1])
     if not np.all(np.isfinite(b)) and np.all(np.isfinite(rows)):  # a holds x, -1 and -b[:, d + 1]
         raise ValueError(LOGITS_OVERFLOW)
     return a, b
 
 
-def _gaussian_tile(a: np.ndarray, b: np.ndarray, rs: slice, cs: slice, buf: np.ndarray) -> np.ndarray:
-    """Gaussian ``K[rs, cs] = exp(min(a[rs] @ b[cs].T, 0))`` of :func:`_augmented_rows`, in the flat ``buf``.
+def _logits_tile(a: np.ndarray, b: np.ndarray, rs: slice, cs: slice, buf: np.ndarray) -> np.ndarray:
+    """Gaussian logits ``min(a[rs] @ b[cs].T, 0)`` of :func:`_augmented_rows`, in the flat ``buf``.
 
     The minimum clips the rounding error that can make a logit positive,
-    as the clip of ``d^2`` at 0 does in :func:`_logits_of_gram`; a NaN
-    stays NaN.  The values agree with :func:`kernel_matrix` to rounding,
+    as the clip of ``d^2`` at 0 does in :func:`_kernel_of_gram`; a NaN
+    stays NaN.  The values agree with that function's logits to rounding,
     not bit for bit.
     """
     k = _gram_tile(a, b, rs, cs, buf)
-    np.minimum(k, 0.0, out=k)
-    return np.exp(k, out=k)
+    return np.minimum(k, 0.0, out=k)
 
 
 def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spec: KernelSpec, *,
@@ -235,22 +235,11 @@ def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spe
         k += 1.0
         k *= 0.5
         return k
-    k = _logits_of_gram(g, stats_a, stats_b, spec.width, out=out)
-    return np.exp(k, out=k)
-
-
-def _logits_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, width: float, *,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Gaussian logits ``-clip(sa + sb - 2g, 0) / width`` from a Gram product and squared norms.
-
-    Written into ``out`` (a new array when None) one in-place pass at a
-    time; ``g`` is overwritten.  The negation comes before the division,
-    as in the expression, which keeps the sign of a NaN.
-    """
-    d2 = np.add(stats_a[:, None], stats_b[None, :], out=out)
+    k = np.add(stats_a[:, None], stats_b[None, :], out=out)
     g *= 2.0
-    d2 -= g
-    np.maximum(d2, 0.0, out=d2)
-    np.negative(d2, out=d2)
-    d2 /= width
-    return d2
+    k -= g
+    np.maximum(k, 0.0, out=k)
+    np.negative(k, out=k)  # before the division, as in the expression, which keeps the sign of a NaN
+    with np.errstate(over="ignore"):  # a logit of -inf is a kernel value of 0
+        k /= spec.width
+    return np.exp(k, out=k)

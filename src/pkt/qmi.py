@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (COSINE, KernelSpec, _augmented_rows, _gaussian_tile, _kernel_tile, _prepared_rows,
-                      _upper_tiles)
+from .kernels import COSINE, KernelSpec, _augmented_rows, _kernel_tile, _logits_tile, _prepared_rows, _upper_tiles
 
 # Rows and columns of the tiles in which the kernel sums walk the upper triangle.
 BLOCK = 128
@@ -108,11 +107,15 @@ def _class_sums(feats: np.ndarray, classes: np.ndarray, sizes: np.ndarray, spec:
     row_sums = np.zeros(n)
     buf, ones, weights = np.empty(BLOCK * TILE), np.ones(max(BLOCK, TILE)), np.empty(TILE)
     for rs, cs in _upper_tiles(n, BLOCK, TILE):
-        k = _gaussian_tile(a, b, rs, cs, buf)
+        k = _logits_tile(a, b, rs, cs, buf)
+        np.exp(k, out=k)
         height, width = k.shape
+        upper = max(rs.stop - cs.start, 0)  # the tile's first column right of the diagonal block
+        if upper:  # a self-pair's logit is a rounding residue over the width, so its kernel is set to 1
+            selves = k[cs.start - rs.start :]
+            np.fill_diagonal(selves, np.diagonal(selves) * 0.0 + 1.0)  # 0 * NaN keeps a NaN row NaN
         row_sums[rs] += k @ ones[:width]
         col = ones[:height] @ k
-        upper = max(rs.stop - cs.start, 0)  # the tile's first column right of the diagonal block
         row_sums[cs.start + upper : cs.stop] += col[upper:]
         w = weights[:width]  # a pair right of the diagonal block also stands for its mirror
         w[:upper], w[upper:] = 1.0, 2.0

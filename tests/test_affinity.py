@@ -102,13 +102,12 @@ def test_conditionals_errors_reach_every_caller(spec, message):
     model = init_student([2, 3], seed=0)
     before = [w.copy() for w in model.parameters()]
     cfg = TrainConfig(batch_size=2, teacher_spec=spec, student_spec=spec)
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match=message):
-            conditional_probabilities(x, spec)
-        with pytest.raises(ValueError, match=message):
-            pkt_loss_and_grad(x, p, spec)
-        with pytest.raises(BatchFailure, match=f"^epoch 0 batch 0: {message}"):
-            train(model, x, x, cfg=cfg)
+    with pytest.raises(ValueError, match=message):
+        conditional_probabilities(x, spec)
+    with pytest.raises(ValueError, match=message):
+        pkt_loss_and_grad(x, p, spec)
+    with pytest.raises(BatchFailure, match=f"^epoch 0 batch 0: {message}"):
+        train(model, x, x, cfg=cfg)
     assert all(np.array_equal(w, v) for w, v in zip(model.parameters(), before))
 
 

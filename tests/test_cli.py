@@ -13,6 +13,7 @@ from pkt import (
     write_labels,
 )
 from pkt.cli import main
+from pkt.kernels import LOGITS_OVERFLOW
 
 
 @pytest.fixture(autouse=True)
@@ -119,13 +120,21 @@ def test_qmi_output(workdir, capsys):
 
 
 def test_qmi_rejects_a_gaussian_width_whose_logits_overflow(workdir, capsys):
-    with np.errstate(over="ignore"):
-        rc = main(["qmi", "--features", str(workdir / "teacher.txt"), "--labels", str(workdir / "labels.txt"),
-                   "--kernel", "gaussian", "--sigma", "1e-310"])
+    rc = main(["qmi", "--features", str(workdir / "teacher.txt"), "--labels", str(workdir / "labels.txt"),
+               "--kernel", "gaussian", "--sigma", "1e-310"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("pkt: Gaussian logits overflow")
+    assert captured.err == f"pkt: {LOGITS_OVERFLOW}\n"  # no numpy warning ahead of it
+
+
+def test_transfer_rejects_a_gaussian_width_whose_logits_overflow(workdir, capsys):
+    rc = main(transfer_args(workdir, extra=["--kernel", "gaussian", "--sigma-t", "1e-310", "--sigma-s", "1.0"]))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pkt: epoch 0 batch 0: {LOGITS_OVERFLOW}\n"  # no numpy warning ahead of it
+    assert not (workdir / "model.txt").exists()
 
 
 def test_gradcheck_battery(capsys):

@@ -11,7 +11,7 @@ from pkt import (
     kl_loss,
     pkt_loss_and_grad,
 )
-from pkt.divergence import LOSS_BUFFERS, Q_FLOOR
+from pkt.divergence import LOSS_BUFFERS, Q_FLOOR, _supervised_into
 from pkt.gradcheck import finite_difference, max_relative_error, random_conditionals
 
 
@@ -204,6 +204,44 @@ def supervised_targets_oracle(labels):
     targets = np.zeros(same.shape)
     targets[:, cols] = same[:, cols] / counts[cols]
     return targets
+
+
+def supervised_into_oracle(p, labels, weight):
+    """The divide-based ``p + weight * t`` and ``sum t log t`` that ``_supervised_into`` must reproduce bit for bit."""
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    counts = same.sum(axis=0)
+    p_eff = np.divide(same, np.maximum(counts, 1))
+    p_eff *= weight
+    p_eff += p
+    return p_eff, float(np.log(1.0 / counts[counts > 0]).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40), weight=st.floats(5e-324, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_supervised_targets_match_the_divide_based_oracle_bit_for_bit(data, n, weight, seed):
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 5)))
+    p = random_conditionals(np.random.default_rng(seed), n)
+    out = np.full((n, n), np.nan)
+    sum_t_log_t = _supervised_into(p, labels, weight, out)
+    expected, expected_sum = supervised_into_oracle(p, labels, weight)
+    assert out.tobytes() == expected.tobytes()
+    assert sum_t_log_t.hex() == expected_sum.hex()
+
+
+@pytest.mark.parametrize("width", [0.5, 8.0])
+def test_gaussian_loss_of_a_batch_wider_than_a_tile_matches_the_dense_reference(width):
+    # 300 rows, 16 dimensions and 10 classes: the logits, the supervised
+    # targets and the gradient span more than one 128-row kernel tile
+    rng = np.random.default_rng(300)
+    n = 300
+    y = rng.normal(size=(n, 16))
+    p = random_conditionals(rng, n)
+    labels = rng.integers(0, 10, size=n)
+    report = pkt_loss_and_grad(y, p, gaussian_kernel(width), (labels, 0.5))
+    value, grad, _ = dense_gaussian_reference(y, p, width, (supervised_targets_oracle(labels), 0.5))
+    assert report.value == pytest.approx(value, rel=1e-12)
+    assert np.max(np.abs(report.grad_y - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
 @settings(max_examples=100, deadline=None)

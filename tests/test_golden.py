@@ -16,14 +16,25 @@ products differently, so each has its own set, keyed by the name of the
 kernel the running OpenBLAS picked.  On a kernel without a pinned set
 the digest tests are skipped, naming that kernel; the dense QMI values
 below are checked everywhere.
+
+Run as a script, this file prints the running kernel's ``GOLDEN`` and
+``ANALYSIS_GOLDEN`` sets as dict literals, so a re-pin of both kernels
+is two commands, each from the root of the repository::
+
+    PYTHONPATH=src python tests/test_golden.py
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import ctypes
 import glob
 import hashlib
+import io
 import os
+import pprint
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,14 +69,14 @@ GOLDEN = {
     "SkylakeX": {
         "cosine": {"parameters": "2e3ebfd130abf3f045b52dab4e6ba3d87369c8e2c8d66031bd6239591aa03e1f",
                    "losses": "a87dbaf7f4585c70681d2ff9c6e8de039cb94699fdf0999e5ef86a26d873be45"},
-        "gaussian_sup": {"parameters": "28a72319164940482e93cdf35cd58a940afe965c7ed32d2ecfb1ab49ed376387",
-                         "losses": "63e9c9fec722075607bedab608944b9dd4a8c98598d24e8cfb961af2d8c07a12"},
+        "gaussian_sup": {"parameters": "a9dd63db72efb26897ee671e390a249163ede81c97679e96ba0ebd4d9cb0dbb7",
+                         "losses": "1c06037760e61d0d65b706059d8d5950c33384bf5e7548b58479bd6da4a6e256"},
     },
     "Haswell": {
         "cosine": {"parameters": "c0d33ca8a6584e6709b4d5b9ccd16f342ffb7b5965dd1c85ba3ace96f7c78bf4",
                    "losses": "1dc5d381b19b9fd28bd45e2419900d62d78b61879d60256414c728a627f957d7"},
-        "gaussian_sup": {"parameters": "40e908d55e433e3e404ac846094c498cc86ba87cdc846041a62bdf74d68e1495",
-                         "losses": "c6c6f3db3f4a43454def053f9322f523b0910519b6ac0ac3d4d6fe7bb97abaed"},
+        "gaussian_sup": {"parameters": "01970b3b140f6208f8c514d899d6fe4af914942bbb56dd21fe81a9e419111a14",
+                         "losses": "ec2d5eb932776739bc4455c1eb6d9f78f1eab48d31f4621d18edec38ea8abb6b"},
     },
 }
 
@@ -138,13 +149,14 @@ DENSE_QMI = {
 }
 
 
-def run_cli(argv, capsys):
-    capsys.readouterr()
-    assert main(argv) == 0
-    return capsys.readouterr().out
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
 
 
-def analysis_outputs(tmp_path, capsys):
+def analysis_outputs(tmp_path):
     rng = np.random.default_rng(33)
     centers = rng.normal(size=(4, 6))
     labels = rng.integers(0, 4, size=300)
@@ -157,26 +169,29 @@ def analysis_outputs(tmp_path, capsys):
 
     for name in ("raw", "queries"):
         run_cli(["embed", "--model", str(tmp_path / "model.txt"), "--input", str(tmp_path / f"{name}.txt"),
-                 "--out", str(tmp_path / f"emb_{name}.txt")], capsys)
+                 "--out", str(tmp_path / f"emb_{name}.txt")])
     emb = {"raw": tmp_path / "emb_raw.txt", "queries": tmp_path / "emb_queries.txt"}
     out = {"embed": emb["raw"].read_bytes() + emb["queries"].read_bytes()}
     out["eval"] = run_cli(["eval", "--db", str(emb["raw"]), "--db-labels", str(tmp_path / "labels.txt"),
                            "--queries", str(emb["queries"]), "--query-labels", str(tmp_path / "qlabels.txt"),
-                           "--top-k", "1,10,300"], capsys).encode()
+                           "--top-k", "1,10,300"]).encode()
     qmi = ["qmi", "--features", str(emb["raw"]), "--labels", str(tmp_path / "labels.txt")]
-    out["qmi_cosine"] = run_cli(qmi, capsys).encode()
-    out["qmi_gaussian"] = run_cli(qmi + ["--kernel", "gaussian", "--sigma", "4.0"], capsys).encode()
+    out["qmi_cosine"] = run_cli(qmi).encode()
+    out["qmi_gaussian"] = run_cli(qmi + ["--kernel", "gaussian", "--sigma", "4.0"]).encode()
     return out
 
 
-def test_golden_analysis_digests(tmp_path, capsys):
-    outputs = analysis_outputs(tmp_path, capsys)
-    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == pinned(ANALYSIS_GOLDEN)
+def analysis_digests(tmp_path):
+    return {k: hashlib.sha256(v).hexdigest() for k, v in analysis_outputs(tmp_path).items()}
+
+
+def test_golden_analysis_digests(tmp_path):
+    assert analysis_digests(tmp_path) == pinned(ANALYSIS_GOLDEN)
 
 
 @pytest.mark.parametrize("case", list(DENSE_QMI))
-def test_qmi_output_matches_dense_values(case, tmp_path, capsys):
-    printed = dict(line.split() for line in analysis_outputs(tmp_path, capsys)[case].decode().splitlines())
+def test_qmi_output_matches_dense_values(case, tmp_path):
+    printed = dict(line.split() for line in analysis_outputs(tmp_path)[case].decode().splitlines())
     assert set(printed) == set(DENSE_QMI[case])
     for key, value in DENSE_QMI[case].items():
         assert abs(float(printed[key]) - value) <= 1e-15
@@ -204,3 +219,14 @@ def test_golden_digests_hold_under_the_haswell_kernel():
         pytest.skip(f"OpenBLAS cannot run its Haswell kernel on this CPU (it picked {core or '(unknown)'})")
     assert proc.returncode == 0, report + proc.stderr
     assert "5 passed" in report and "skipped" not in report, report
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {name: Path(tmp, name) for name in [*CASES, "analysis"]}
+        for d in dirs.values():
+            d.mkdir()
+        training = {case: golden_digest(case, dirs[case]) for case in CASES}
+        analysis = analysis_digests(dirs["analysis"])
+    for name, digests in (("GOLDEN", training), ("ANALYSIS_GOLDEN", analysis)):
+        print(f"{name}[{CORE!r}] = {pprint.pformat(digests, width=120, sort_dicts=False)}")

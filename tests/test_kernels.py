@@ -14,7 +14,7 @@ from pkt import (
     gaussian_kernel,
     kernel_matrix,
 )
-from pkt.kernels import TILE, _kernel_of_gram
+from pkt.kernels import TILE, _kernel_of_gram, _logits_of_rows
 from test_qmi import kernel_eval
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -88,6 +88,25 @@ def test_matrix_across_tile_boundaries(spec, n, layout):
     edges = [(i, j) for i in (0, TILE - 1, TILE, n - 1) for j in (0, TILE - 1, TILE, n - 1) if max(i, j) < n]
     for i, j in [*edges, *rng.integers(0, n, size=(300, 2))]:
         assert abs(k[i, j] - kernel_eval(x[i], x[j], spec)) <= 1e-15
+
+
+@pytest.mark.parametrize("width", [0.05, 8.0, 1e3])
+@pytest.mark.parametrize("n", [TILE + 3, 2 * TILE + 50])
+def test_logits_of_rows_are_the_clipped_distances_over_the_width_to_rounding(width, n):
+    rng = np.random.default_rng(n)
+    x = 3.0 * rng.normal(size=(n, 16))
+    stats = np.einsum("ij,ij->i", x, x)
+    out = np.full((n, n), np.nan)
+    logits = _logits_of_rows(x, stats, width, out=out)
+    assert np.shares_memory(logits, out) and logits.shape == (n, n)
+    assert logits.tobytes() == _logits_of_rows(x, stats, width).tobytes()
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    # one product of augmented rows cancels s_i + s_j against 2 x_i . x_j, so
+    # an entry is off by a few units in the last place of (s_i + s_j) / width
+    bound = 1e-14 * (stats[:, None] + stats[None, :]) / width
+    assert np.all(np.abs(logits - (-np.clip(d2, 0.0, None) / width)) <= bound)
+    assert np.all(logits <= 0.0)
+    assert np.all(np.abs(logits - logits.T) <= bound)  # symmetric to rounding, not bit for bit
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(8.0)])

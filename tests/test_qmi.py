@@ -211,16 +211,34 @@ def test_one_nan_feature_makes_every_potential_nan(spec, row):
     assert all(math.isnan(getattr(pots, field)) for field in ("v_in", "v_all", "v_btw", "qmi"))
 
 
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
+def test_a_nan_row_alone_in_its_class_makes_every_potential_nan(spec):
+    # its only within-class pair is itself, so v_in sees the NaN only there
+    feats = np.random.default_rng(8).normal(size=(TILE + 40, 3))
+    labels = np.arange(TILE + 40) % 4
+    feats[BLOCK + 2, 1], labels[BLOCK + 2] = np.nan, 9
+    pots = information_potentials(feats, labels, spec)
+    assert all(math.isnan(getattr(pots, field)) for field in ("v_in", "v_all", "v_btw", "qmi"))
+
+
+def test_gaussian_self_pairs_count_one_at_a_tiny_width():
+    # at width 1e-13 every pair of distinct rows has kernel 0, so v_in is N
+    # self-pairs over N^2; a self-pair's logit, the rounding residue of
+    # s_i + s_i - 2 x_i . x_i over the width, would pull it 11% lower
+    feats = np.random.default_rng(0).normal(size=(300, 64))
+    pots = information_potentials(feats, np.arange(300) % 10, gaussian_kernel(1e-13))
+    assert pots.v_in == 1.0 / 300
+
+
 def test_gaussian_potentials_raise_when_the_logits_of_finite_features_overflow():
     # squared distances of about 8 divided by 1e-310 overflow; kernel_matrix
     # stays finite there, but the potentials' augmented rows do not
     feats = np.random.default_rng(3).normal(size=(40, 4))
     labels = np.arange(40) % 3
     spec = gaussian_kernel(1e-310)
-    with np.errstate(over="ignore"):
-        assert np.all(np.isfinite(kernel_matrix(feats, spec)))
-        with pytest.raises(ValueError, match="^Gaussian logits overflow"):
-            information_potentials(feats, labels, spec)
+    assert np.all(np.isfinite(kernel_matrix(feats, spec)))
+    with pytest.raises(ValueError, match="^Gaussian logits overflow"):
+        information_potentials(feats, labels, spec)
     feats[5, 1] = np.nan
     with np.errstate(over="ignore", invalid="ignore"):
         pots = information_potentials(feats, labels, spec)
