@@ -43,23 +43,18 @@ class LossReport:
     n_pairs: int
 
 
-def _check_same_shape(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("probability matrices must be square")
-    if p.shape != q.shape:
-        raise ValueError(f"size mismatch: {p.shape} vs {q.shape}")
-    return p, q
-
-
 def kl_loss(p_teacher: np.ndarray, q_student: np.ndarray) -> float:
     """Sum of ``p * log(p / q)`` over off-diagonal entries, with q clamped to [1e-7, 1].
 
     Zero p-entries contribute nothing (the 0 * log 0 = 0 limit), so
     target matrices with empty slots are handled without special casing.
     """
-    p, q = _check_same_shape(p_teacher, q_student)
+    p = np.asarray(p_teacher, dtype=float)
+    q = np.asarray(q_student, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError("probability matrices must be square")
+    if p.shape != q.shape:
+        raise ValueError(f"size mismatch: {p.shape} vs {q.shape}")
     m = p > 0.0
     np.fill_diagonal(m, False)
     return float(np.sum(p[m] * np.log(p[m] / np.clip(q, Q_FLOOR, 1.0)[m])))

@@ -13,8 +13,7 @@ The Gaussian ``width`` is the *full* scale denominator::
 
 Callers pass one number; no squaring or doubling happens internally.
 The Gaussian core computes the logits ``-d^2 / width`` and then their
-exponential.  Gaussian conditionals and corpus-scale sums take their
-logits from one product of augmented rows instead, so conditionals are
+exponential.  Gaussian conditionals start from logits, so they are
 normalized in the log domain and never underflow; those logits are
 symmetric only to rounding, while :func:`kernel_matrix` is symmetric
 bit for bit.
@@ -41,6 +40,11 @@ LOGITS_OVERFLOW = "Gaussian logits overflow: squared distances divided by the wi
 # Side of the square tiles in which a whole kernel matrix is built: a
 # tile and its mirror stay in cache while one is copied into the other.
 TILE = 128
+
+# Gaussian logits of rows with at most this many features come from one
+# product of augmented rows; wider rows take x @ x.T, whose same-array BLAS
+# path (syrk) computes one triangle and is the faster there.
+AUGMENTED_MAX_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -123,13 +127,11 @@ def _upper_tiles(n: int, height: int = TILE, width: int = TILE) -> Iterator[tupl
 
 def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix from prepared rows and their :func:`_row_stats`, written into ``out``.
+    """Kernel matrix from :func:`_prepared_rows` and their statistics, written into ``out``.
 
-    Cosine rows must already be divided by their norms; Gaussian rows are
-    the features themselves.  ``out`` is a new array when None.  Each
-    upper tile is computed in place and copied, transposed, into its
-    mirror tile; a diagonal tile's Gram product ``a @ a.T`` is exactly
-    symmetric, so the matrix is too.
+    ``out`` is a new array when None.  Each upper tile is computed in
+    place and copied, transposed, into its mirror; a diagonal tile's Gram
+    product ``a @ a.T`` is exactly symmetric, so the matrix is too.
     """
     n = rows.shape[0]
     out = np.empty((n, n)) if out is None else out
@@ -145,26 +147,36 @@ def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float, *,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian logits ``-clip(d^2, 0) / width`` of rows and their squared norms, to rounding.
 
-    One product of :func:`_augmented_rows` gives the whole matrix, written
-    into ``out``, a C-contiguous N x N float array, or a new one when
-    None; it is symmetric only to rounding.
+    Written into ``out``, a C-contiguous N x N float array, or a new one
+    when None.  Rows of at most ``AUGMENTED_MAX_DIM`` features take one
+    product of :func:`_augmented_rows` if those are finite; otherwise the
+    Gram product ``g`` becomes ``min(2g - s_i - s_j, 0) / width`` in
+    place, ``-inf`` only where ``d^2 / width`` overflows.
     """
-    n = rows.shape[0]
-    a, b = _augmented_rows(rows, stats, width)
-    return _logits_tile(a, b, slice(0, n), slice(0, n), np.empty(n * n) if out is None else out.reshape(-1))
+    n, d = rows.shape
+    out = np.empty((n, n)) if out is None else out
+    if d <= AUGMENTED_MAX_DIM:
+        a, b = _augmented_rows(rows, stats, width, slice(None))
+        if np.all(np.isfinite(b)):
+            return _logits_tile(a, b, slice(0, n), slice(0, n), out.reshape(-1))
+    g = np.matmul(rows, rows.T, out=out)
+    g *= 2.0
+    g -= stats[:, None]
+    g -= stats[None, :]
+    np.minimum(g, 0.0, out=g)
+    with np.errstate(over="ignore"):  # a logit of -inf is a conditional of 0
+        g /= width
+    return g
 
 
 def _kernel_tile(rows: np.ndarray, stats: np.ndarray, rs: slice, cs: slice, spec: KernelSpec,
                  gram: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``K[rs, cs]`` of prepared rows and their :func:`_row_stats`, in caller-owned buffers.
+    """``K[rs, cs]`` of prepared rows and their :func:`_row_stats`, in caller-owned flat buffers.
 
-    ``gram`` is a flat float buffer of at least the tile's size, and
-    ``out`` is another or an array of the tile's shape, such as a view
-    into a whole kernel matrix; the Gram product goes into ``gram`` and
-    the kernel values, returned as a view, into ``out``.  The arithmetic
-    is that of :func:`kernel_matrix`, but BLAS may round an entry of a
-    product of one shape differently from the same entry of another, so
-    a value can differ from the matrix's in its last bits.
+    The Gram product goes into ``gram`` and the kernel values, returned as
+    a view, into ``out``.  The arithmetic is that of :func:`kernel_matrix`,
+    but BLAS may round an entry of a product of one shape differently
+    from the same entry of another, so a value can differ in its last bits.
     """
     g = _gram_tile(rows, rows, rs, cs, gram)
     return _kernel_of_gram(g, stats[rs], stats[cs], spec, out=out[: g.size].reshape(g.shape))
@@ -177,31 +189,27 @@ def _gram_tile(a: np.ndarray, b: np.ndarray, rs: slice, cs: slice, gram: np.ndar
 
 
 def _augmented_rows(rows: np.ndarray, stats: np.ndarray, width: float,
-                    order: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+                    order: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``a = [x, -s/width, -1]`` and ``b = [2x/width, 1, s/width]`` of rows x and their squared norms s.
 
     ``a_i . b_j = -(s_i + s_j - 2 x_i . x_j) / width`` is the Gaussian
     logit of the pair, so one product gives a whole tile of logits; see
     :func:`_logits_tile`.  Each is an N x (D + 2) array with its rows
-    taken in ``order`` (all, in place, by default); ``b`` is built from
-    ``a``, so no reordered copy of the rows outlives ``a``.  The logits
-    are finite as long as ``s / width`` and ``2x / width`` are; if they
-    are not for finite rows, the width is too small and a ValueError is
-    raised, while a NaN row stays NaN.
+    taken in ``order``; ``b`` is built from ``a``, so no reordered copy of
+    the rows outlives ``a``.  ``b`` is finite for finite rows unless
+    ``s / width`` or ``2x / width`` overflows, which depends on how far the
+    rows lie from the origin, not only on their distances.
     """
     n, d = rows.shape
     stats = stats[order]
-    a = np.empty((n, d + 2))
+    a, b = np.empty((2, n, d + 2))
     a[:, :d] = rows[order]
     a[:, d + 1] = -1.0
-    b = np.empty((n, d + 2))
     b[:, d] = 1.0
-    with np.errstate(over="ignore"):  # an overflow is named below
+    with np.errstate(over="ignore"):  # callers check b
         np.divide(stats, -width, out=a[:, d])
         np.divide(a[:, :d], 0.5 * width, out=b[:, :d])
         np.divide(stats, width, out=b[:, d + 1])
-    if not np.all(np.isfinite(b)) and np.all(np.isfinite(rows)):  # a holds x, -1 and -b[:, d + 1]
-        raise ValueError(LOGITS_OVERFLOW)
     return a, b
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import COSINE, KernelSpec, _augmented_rows, _kernel_tile, _logits_tile, _prepared_rows, _upper_tiles
+from .kernels import (COSINE, LOGITS_OVERFLOW, KernelSpec, _augmented_rows, _kernel_tile, _logits_tile, _prepared_rows,
+                      _upper_tiles)
 
 # Rows and columns of the tiles in which the kernel sums walk the upper triangle.
 BLOCK = 128
@@ -101,6 +102,8 @@ def _class_sums(feats: np.ndarray, classes: np.ndarray, sizes: np.ndarray, spec:
         in_class = float(np.sum((np.einsum("ij,ij->i", sums, sums) + sizes * sizes) / 2.0))
         return in_class, (sums @ sums.sum(axis=0) + sizes * n) / 2.0
     a, b = _augmented_rows(rows, stats, spec.width, order)
+    if not np.all(np.isfinite(b)) and np.all(np.isfinite(rows)):  # a holds x, -1 and -b[:, d + 1]
+        raise ValueError(LOGITS_OVERFLOW)
     classes = classes[order]
     bounds = np.cumsum(sizes).tolist()  # class p spans the sorted rows [bounds[p - 1], bounds[p])
     in_class = 0.0

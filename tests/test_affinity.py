@@ -10,6 +10,7 @@ from pkt import (
     conditional_probabilities,
     cosine_kernel,
     gaussian_kernel,
+    information_potentials,
     init_student,
     pkt_loss_and_grad,
     sample_batch,
@@ -109,6 +110,21 @@ def test_conditionals_errors_reach_every_caller(spec, message):
     with pytest.raises(BatchFailure, match=f"^epoch 0 batch 0: {message}"):
         train(model, x, x, cfg=cfg)
     assert all(np.array_equal(w, v) for w, v in zip(model.parameters(), before))
+
+
+def test_gaussian_conditionals_of_rows_far_from_the_origin_stay_exact():
+    # rows near 1e5 spaced 1 apart: at width 1e-300, s / width overflows,
+    # so their augmented rows are not finite, but d^2 / width does not,
+    # and the Gram product gives the logits; the potentials, which need
+    # the augmented rows, raise
+    x = np.column_stack([1e5 + np.arange(4.0), np.zeros(4)])
+    spec = gaussian_kernel(1e-300)
+    nearest = np.array([[0, 0.5, 0, 0], [1, 0, 0.5, 0], [0, 0.5, 0, 1], [0, 0, 0.5, 0]])
+    assert np.array_equal(conditional_probabilities(x, spec), nearest)
+    _, trace = train(init_student([2, 3], seed=0), x, x, cfg=TrainConfig(batch_size=4, teacher_spec=spec))
+    assert len(trace) == 1 and np.isfinite(trace[0].loss)
+    with pytest.raises(ValueError, match="^Gaussian logits overflow"):
+        information_potentials(x, np.arange(4) % 2, spec)
 
 
 def test_degenerate_geometry_raises():

@@ -14,7 +14,7 @@ from pkt import (
     gaussian_kernel,
     kernel_matrix,
 )
-from pkt.kernels import TILE, _kernel_of_gram, _logits_of_rows
+from pkt.kernels import AUGMENTED_MAX_DIM, TILE, _kernel_of_gram, _logits_of_rows
 from test_qmi import kernel_eval
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -92,17 +92,19 @@ def test_matrix_across_tile_boundaries(spec, n, layout):
 
 @pytest.mark.parametrize("width", [0.05, 8.0, 1e3])
 @pytest.mark.parametrize("n", [TILE + 3, 2 * TILE + 50])
-def test_logits_of_rows_are_the_clipped_distances_over_the_width_to_rounding(width, n):
+@pytest.mark.parametrize("dim", [16, AUGMENTED_MAX_DIM, AUGMENTED_MAX_DIM + 1])
+def test_logits_of_rows_are_the_clipped_distances_over_the_width_to_rounding(width, n, dim):
     rng = np.random.default_rng(n)
-    x = 3.0 * rng.normal(size=(n, 16))
+    x = 3.0 * rng.normal(size=(n, dim))
     stats = np.einsum("ij,ij->i", x, x)
     out = np.full((n, n), np.nan)
     logits = _logits_of_rows(x, stats, width, out=out)
     assert np.shares_memory(logits, out) and logits.shape == (n, n)
     assert logits.tobytes() == _logits_of_rows(x, stats, width).tobytes()
-    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-    # one product of augmented rows cancels s_i + s_j against 2 x_i . x_j, so
-    # an entry is off by a few units in the last place of (s_i + s_j) / width
+    d2 = np.array([np.sum((x - row) ** 2, axis=1) for row in x])
+    # both the product of augmented rows and the Gram product of wider rows
+    # cancel s_i + s_j against 2 x_i . x_j, so an entry is off by a few
+    # units in the last place of (s_i + s_j) / width
     bound = 1e-14 * (stats[:, None] + stats[None, :]) / width
     assert np.all(np.abs(logits - (-np.clip(d2, 0.0, None) / width)) <= bound)
     assert np.all(logits <= 0.0)
