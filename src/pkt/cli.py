@@ -19,7 +19,7 @@ from .gradcheck import PASS_THRESHOLD, check_instance, run_battery
 from .kernels import COSINE, GAUSSIAN, KernelSpec, cosine_kernel, gaussian_kernel
 from .qmi import information_potentials
 from .retrieval import RetrievalIndex, evaluate
-from .student import StudentModel, init_student, load_model, save_model
+from .student import init_student, load_model, save_model
 from .trainer import BatchFailure, TrainConfig, train
 
 log = logging.getLogger(__name__)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import _checked_features, _conditionals_of_rows
-from .kernels import COSINE, NORM_EPS, KernelSpec, _prepared_rows, _upper_tiles
+from .kernels import COSINE, NORM_EPS, KernelSpec, _prepared_rows
 
 # Floor applied to cosine student conditionals and to kl_loss's q inside
 # the log; far below any conditional reachable with cosine kernels at
@@ -100,15 +100,6 @@ def _squares(workspace, n: int, arrays) -> list[np.ndarray]:
     return squares
 
 
-def _symmetrized(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a + a.T`` written into ``out``: each upper tile once, copied transposed into its mirror."""
-    for rs, cs in _upper_tiles(a.shape[0]):
-        np.add(a[rs, cs], a[cs, rs].T, out=out[rs, cs])
-        if cs.start > rs.start:
-            out[cs, rs] = out[rs, cs].T
-    return out
-
-
 def _sum_x_log_x(m: np.ndarray, buf: np.ndarray) -> float:
     """Sum of ``m * log(m)`` over the off-diagonal entries of ``m`` with ``m > 0``, using the N x N ``buf``."""
     buf.fill(0.0)
@@ -135,18 +126,21 @@ def pkt_loss_and_grad(
 
     Gaussian student: with logits ``L = -d^2 / width`` and
     ``log q = L - logsumexp`` down each column, the gradient in the
-    logits is ``a = q * colsum(p_eff) - p_eff``.  L is symmetric, so the
-    pair (u, v) has ``dL/d(d^2_uv) = -(a_uv + a_vu) / width``, and
+    logits is ``a = q * colsum(p_eff) - p_eff``, and
 
-        grad_y = (-2 / width) * (rowsum(w) * y - w @ y),   w = a + a.T
+        grad_y = (2 / width) * (w @ y - rowsum(w) * y)
 
     Cosine student: q is the kernel over its column sums S_c, clamped at
-    ``Q_FLOOR`` inside the log, and per conditioning slot c
+    ``Q_FLOOR`` inside the log; with ``g = dL/dq`` the gradient in the
+    kernel is ``a_uc = (g_uc - sum_r g_rc q_rc) / S_c`` per slot c, and
+    with the unit rows u, guarded norms ``|y|`` and ``cos = 2k - 1``
 
-        dL/dk_uc = (g_uc - sum_r g_rc q_rc) / S_c,   g = dL/dq
+        grad_y = (w @ u - rowsum(w * cos) * u) / (2 |y|)
 
-    then symmetrized over the two slots each unordered pair feeds, and
-    pushed through the kernel's own derivative and the row-norm terms.
+    In both, ``w = a + a.T`` sums the two slots each unordered pair
+    feeds, and neither family builds it: ``w @ y = a @ y + a.T @ y``,
+    and a row sum of w (or of ``w * cos``, cos being symmetric) is a's
+    row sum plus its column sum.
 
     ``sup`` is an optional ``(labels, weight)`` pair, one class label per
     row of ``y``, adding ``weight * KL(t || conditionals(y))`` to the
@@ -188,13 +182,16 @@ def pkt_loss_and_grad(
     return LossReport(value=p_log_p + sup_log - cross, grad_y=grad, n_pairs=n * (n - 1))
 
 
+def _paired(a: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``(a + a.T) @ y - r * y`` for an N x N ``a`` and N row weights ``r``, without building ``a + a.T``."""
+    return a @ y + a.T @ y - r[:, None] * y
+
+
 def _gaussian_cross_and_grad(y, stats, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
     """``sum p_eff log q`` and the loss gradient for a Gaussian student ``y`` and its squared norms.
 
     The cross term is one dot product with the shifted logits less one
-    with the log column sums.  The gradient never builds ``w = a + a.T``:
-    ``rowsum(w) = a.sum(1) + a.sum(0)`` and ``w @ y = a @ y + a.T @ y``.
-    Only ``bufs[0]`` and ``bufs[1]`` are used.
+    with the log column sums.  Only ``bufs[0]`` and ``bufs[1]`` are used.
     """
     l_buf, q_buf = bufs[:2]
     shifted, q, log_colsums = _conditionals_of_rows(y, stats, spec, out=l_buf, q_out=q_buf)
@@ -205,8 +202,7 @@ def _gaussian_cross_and_grad(y, stats, p_eff, spec, bufs) -> tuple[float, np.nda
     a = np.multiply(q, mass[None, :], out=q)
     a -= p_eff
     np.fill_diagonal(a, 0.0)
-    rowsum_w = a.sum(axis=1) + a.sum(axis=0)
-    return cross, (-2.0 / spec.width) * (rowsum_w[:, None] * y - (a @ y + a.T @ y))
+    return cross, (2.0 / spec.width) * _paired(a, y, a.sum(axis=1) + a.sum(axis=0))
 
 
 def _cosine_cross_and_grad(u, dens, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
@@ -215,7 +211,7 @@ def _cosine_cross_and_grad(u, dens, p_eff, spec, bufs) -> tuple[float, np.ndarra
     The cross term takes q clamped at ``Q_FLOOR``, whose log goes into
     the gradient's buffer before the gradient is built there.
     """
-    k_buf, q_buf, e_buf, g_buf = bufs
+    k_buf, q_buf, _, g_buf = bufs
     k, q, colsums = _conditionals_of_rows(u, dens, spec, out=k_buf, q_out=q_buf)
     log_q = np.log(np.clip(q, Q_FLOOR, 1.0, out=g_buf), out=g_buf)
     np.fill_diagonal(log_q, 0.0)
@@ -226,10 +222,9 @@ def _cosine_cross_and_grad(u, dens, p_eff, spec, bufs) -> tuple[float, np.ndarra
     a -= t[None, :]
     a /= colsums[None, :]
     np.fill_diagonal(a, 0.0)
-    w = _symmetrized(a, e_buf)  # p_eff is not read again
 
-    cos = np.multiply(k, 2.0, out=k)  # k has a zeroed diagonal; w does too
+    cos = np.multiply(k, 2.0, out=k)  # bitwise symmetric as k is, so w's row terms are a's row plus column terms
     cos -= 1.0
-    coupled = np.einsum("mn,mn->m", w, cos)
+    coupled = np.einsum("mn,mn->m", a, cos) + np.einsum("mn,mn->n", a, cos)
     active = dens > NORM_EPS    # below the guard the norm is constant
-    return cross, (w @ u - np.where(active, coupled, 0.0)[:, None] * u) / (2.0 * dens[:, None])
+    return cross, _paired(a, u, np.where(active, coupled, 0.0)) / (2.0 * dens[:, None])

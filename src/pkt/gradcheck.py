@@ -11,6 +11,10 @@ from .kernels import KernelSpec, cosine_kernel, gaussian_kernel
 DEFAULT_H = 1e-5
 PASS_THRESHOLD = 1e-4
 
+# Inclusive ranges of the battery's batch sizes and embedding widths.
+N_RANGE = (4, 12)
+DIM_RANGE = (2, 8)
+
 
 def finite_difference(fn, y: np.ndarray) -> np.ndarray:
     """Central differences of a scalar function on every coordinate of ``y``."""
@@ -55,12 +59,7 @@ def check_instance(
     return max_relative_error(analytic, numeric)
 
 
-def run_battery(
-    seed: int,
-    instances: int = 20,
-    n_range: tuple[int, int] = (4, 12),
-    dim_range: tuple[int, int] = (2, 8),
-) -> float:
+def run_battery(seed: int, instances: int = 20) -> float:
     """Max relative error over random instances alternating both kernel families.
 
     Gaussian widths are drawn log-uniformly from [0.05, 4]; at the small
@@ -69,8 +68,8 @@ def run_battery(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(instances):
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        n = int(rng.integers(N_RANGE[0], N_RANGE[1] + 1))
+        dim = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
         if trial % 2 == 0:
             spec = cosine_kernel()
         else:

@@ -74,16 +74,14 @@ def _safe_norms(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(x, axis=-1), NORM_EPS)
 
 
-def kernel_matrix(x: np.ndarray, spec: KernelSpec, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Full N x N kernel matrix of the rows of ``x``, self-pairs included.
+def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Full N x N kernel matrix of the rows of ``x``, self-pairs included, as a new array.
 
     The result is exactly symmetric: the upper triangle is computed in
     square tiles of side ``TILE`` and mirrored into the lower one, and
-    each diagonal tile's Gram product is itself exactly symmetric.  It is
-    written into ``out``, an N x N float array, or a new one when None.
+    each diagonal tile's Gram product is itself exactly symmetric.
     """
-    rows, stats = _prepared_rows(x, spec)
-    return _kernel_of_rows(rows, stats, spec, out=out)
+    return _kernel_of_rows(*_prepared_rows(x, spec), spec)
 
 
 def _prepared_rows(x: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:

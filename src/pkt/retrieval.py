@@ -61,22 +61,6 @@ def _strictly_increasing(sorted_keys: np.ndarray) -> np.ndarray:
     return np.all(sorted_keys[:, 1:] > sorted_keys[:, :-1], axis=1)
 
 
-def _rank_rows(db_unit: np.ndarray, queries_unit: np.ndarray) -> np.ndarray:
-    """Per query row, database indices by descending cosine; ties broken by ascending index.
-
-    The fast unstable sort decides every row whose sorted keys strictly
-    increase, since that order is the only one.  A row with a tie, a
-    signed zero pair or a NaN is sorted again stably.
-    """
-    keys = queries_unit @ db_unit.T
-    np.negative(keys, out=keys)
-    order = np.argsort(keys, axis=1)
-    unsure = ~_strictly_increasing(np.take_along_axis(keys, order, axis=1))
-    if unsure.any():
-        order[unsure] = np.argsort(keys[unsure], axis=1, kind="stable")
-    return order
-
-
 def _hit_ranks(keys: np.ndarray, relevant: np.ndarray, sorted_keys: np.ndarray, out: np.ndarray) -> np.ndarray:
     """0-based rank of each relevant item in the stable ascending order of its row of ``keys``.
 
@@ -85,7 +69,7 @@ def _hit_ranks(keys: np.ndarray, relevant: np.ndarray, sorted_keys: np.ndarray, 
     ``sorted_keys``, shaped like ``keys``, is overwritten with each row
     sorted.  A row whose sorted keys strictly increase has one order,
     so a hit's rank is the position of its key there; any other row is
-    arg-sorted stably, as in :func:`_rank_rows`.
+    arg-sorted stably.
     """
     np.copyto(sorted_keys, keys)
     sorted_keys.sort(axis=1)

@@ -34,7 +34,7 @@ def report(line):
 
 def test_criterion_1_gradient_fidelity():
     t0 = time.perf_counter()
-    worst = run_battery(seed=0, instances=20, n_range=(4, 12), dim_range=(2, 8))
+    worst = run_battery(seed=0, instances=20)
     wall = time.perf_counter() - t0
     assert worst < 1e-4
     assert wall < 10.0

@@ -244,6 +244,21 @@ def test_gaussian_loss_of_a_batch_wider_than_a_tile_matches_the_dense_reference(
     assert np.max(np.abs(report.grad_y - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
+@pytest.mark.parametrize("supervised", [False, True], ids=["plain", "sup"])
+def test_cosine_loss_of_a_batch_wider_than_a_tile_matches_the_dense_reference(supervised):
+    # 300 rows span three 128-row kernel tiles, so the gradient's two
+    # conditioning slots of a pair come from different tiles
+    rng = np.random.default_rng(301)
+    n = 300
+    y = rng.normal(size=(n, 16))
+    p = random_conditionals(rng, n)
+    labels = rng.integers(0, 10, size=n)
+    report = pkt_loss_and_grad(y, p, cosine_kernel(), (labels, 0.5) if supervised else None)
+    value, grad = dense_cosine_reference(y, p, (supervised_targets_oracle(labels), 0.5) if supervised else None)
+    assert report.value == pytest.approx(value, rel=1e-12)
+    assert np.max(np.abs(report.grad_y - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 12))
 def test_kl_loss_matches_the_gather_expression_bit_for_bit(data, n):
@@ -323,6 +338,29 @@ def dense_gaussian_reference(y, p, width, sup=None):
     g = np.where(off, q * np.sum(np.where(off, p_eff, 0.0), axis=0) - p_eff, 0.0)
     grad = -2.0 / width * (np.einsum("ic,icd->id", g, diff) + np.einsum("ri,ird->id", g, diff))
     return value, grad, q
+
+
+def dense_cosine_reference(y, p, sup=None):
+    """The cosine loss and gradient written out densely, with ``w = a + a.T`` built and each pair's derivative expanded."""
+    n = y.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    norms = np.linalg.norm(y, axis=1)
+    u = y / norms[:, None]
+    cos = np.clip(u @ u.T, -1.0, 1.0)
+    k = np.where(off, (cos + 1.0) / 2.0, 0.0)
+    colsums = k.sum(axis=0)
+    q = k / colsums
+    parts = [(p, 1.0)] if sup is None else [(p, 1.0), sup]
+    value = sum(weight * kl_loss_oracle(t, q) for t, weight in parts)
+    p_eff = sum(weight * t for t, weight in parts)
+    active = off & (p_eff > 0.0) & (q > Q_FLOOR)
+    dq = np.zeros_like(q)
+    dq[active] = -p_eff[active] / q[active]
+    a = np.where(off, (dq - np.sum(dq * q, axis=0)) / colsums, 0.0)
+    w = a + a.T
+    # d k[m, j] / d y_m = (u_j - cos[m, j] * u_m) / (2 |y_m|)
+    dk = (u[None, :, :] - cos[:, :, None] * u[:, None, :]) / (2.0 * norms[:, None, None])
+    return value, np.einsum("mj,mjd->md", w, dk)
 
 
 def linear_gaussian_oracle(y, p, width, sup=None):

@@ -67,14 +67,14 @@ CORE = openblas_core()
 
 GOLDEN = {
     "SkylakeX": {
-        "cosine": {"parameters": "2e3ebfd130abf3f045b52dab4e6ba3d87369c8e2c8d66031bd6239591aa03e1f",
-                   "losses": "a87dbaf7f4585c70681d2ff9c6e8de039cb94699fdf0999e5ef86a26d873be45"},
+        "cosine": {"parameters": "7e1f7585dfb6f244a85131ba8c62ed0098896d716b70a9bc0dcedef3b67b91b4",
+                   "losses": "abbf501b184f954f2c4da6909cb25ab142303210593606f3cd8c0e6a18612d12"},
         "gaussian_sup": {"parameters": "a9dd63db72efb26897ee671e390a249163ede81c97679e96ba0ebd4d9cb0dbb7",
                          "losses": "1c06037760e61d0d65b706059d8d5950c33384bf5e7548b58479bd6da4a6e256"},
     },
     "Haswell": {
-        "cosine": {"parameters": "c0d33ca8a6584e6709b4d5b9ccd16f342ffb7b5965dd1c85ba3ace96f7c78bf4",
-                   "losses": "1dc5d381b19b9fd28bd45e2419900d62d78b61879d60256414c728a627f957d7"},
+        "cosine": {"parameters": "27b1c75cd9ff84bedb7ceaca97219ac971a35b6590bf675ed3b809bf1d0a6eb3",
+                   "losses": "5e6fe41e85f3c7263cd2e2954cd9c0936d66491dd921976f6ad8a45c5725cf3b"},
         "gaussian_sup": {"parameters": "01970b3b140f6208f8c514d899d6fe4af914942bbb56dd21fe81a9e419111a14",
                          "losses": "ec2d5eb932776739bc4455c1eb6d9f78f1eab48d31f4621d18edec38ea8abb6b"},
     },

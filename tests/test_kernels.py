@@ -112,18 +112,17 @@ def test_logits_of_rows_are_the_clipped_distances_over_the_width_to_rounding(wid
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(8.0)])
-def test_matrix_into_out_allocates_less_than_one_matrix(spec):
+def test_matrix_allocates_less_than_one_matrix_besides_its_result(spec):
     n = 4 * TILE
     x = np.random.default_rng(0).normal(size=(n, 5))
-    out = np.empty((n, n))
     tracemalloc.start()
     try:
-        k = kernel_matrix(x, spec, out=out)
+        k = kernel_matrix(x, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert k is out
-    assert peak < out.nbytes
+    assert k.shape == (n, n)
+    assert peak < 2 * k.nbytes
 
 
 def test_cosine_scale_invariance():

@@ -10,17 +10,20 @@ from pkt import (
     average_precision_11pt,
     evaluate,
 )
-from pkt.retrieval import QUERY_BLOCK, _rank_rows, _unit_rows
+from pkt.retrieval import QUERY_BLOCK, _unit_rows
 
 
 def rank(index, query):
     """Database indices by descending cosine to one query, ties broken by ascending index, from a 1 x D product.
 
-    BLAS may round its last bits differently from the block product
-    ``evaluate`` scores a query with, so this is an exact oracle for
-    ``evaluate`` only where the cosines are exact.
+    One stable sort of the negated cosines, which ``_hit_ranks`` must
+    reproduce without sorting every row's indices.  BLAS may round its
+    last bits differently from the block product ``evaluate`` scores a
+    query with, so this is an exact oracle for ``evaluate`` only where
+    the cosines are exact.
     """
-    return _rank_rows(_unit_rows(index.db_feats), _unit_rows(np.asarray(query, dtype=float)[None, :]))[0]
+    keys = _unit_rows(np.asarray(query, dtype=float)[None, :]) @ _unit_rows(index.db_feats).T
+    return np.argsort(-keys[0], kind="stable")
 
 
 def naive_ap(rel, n_rel):

@@ -1,0 +1,53 @@
+"""Source hygiene of the ``pkt`` package, read with ``ast``: no relative
+import that its module never uses, and no private function that no code
+of the package calls (code that only tests use belongs in the tests)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pkt"
+SOURCES = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+TREES = {name: ast.parse(text) for name, text in SOURCES.items()}
+
+
+def read_names(tree):
+    """Names a module reads as bare names or lists in ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+@pytest.mark.parametrize("module", list(SOURCES))
+def test_every_relative_import_is_used(module):
+    lines = SOURCES[module].splitlines()
+    used = read_names(TREES[module])
+    unused = []
+    for node in ast.walk(TREES[module]):
+        if not isinstance(node, ast.ImportFrom) or node.level == 0:
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        unused += [alias.asname or alias.name for alias in node.names if (alias.asname or alias.name) not in used]
+    assert unused == []
+
+
+def test_every_private_function_has_a_caller():
+    referenced = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = [f"{module}.{node.name}"
+                for module, tree in TREES.items() for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and node.name not in referenced]
+    assert uncalled == []
