@@ -7,26 +7,27 @@ both are deliberate.
 
 No function here builds the N x N kernel matrix.  Cosine potentials
 come in closed form from the class sums of the unit rows, in O(N*D)
-memory.  Gaussian potentials and the equality check sum kernel values
-over the upper triangle in tiles of ``BLOCK`` rows by ``TILE``
-columns, one reused O(BLOCK*TILE) tile at a time; Gaussian potentials
-also hold the O(N*D) class-sorted augmented rows whose products are
-the logits.  C classes add at most the O(C*D) class sums of the
-cosine form.
+memory.  Gaussian potentials and the equality check walk the upper
+triangle in reused tiles of ``BLOCK`` rows by ``TILE`` columns, beside
+O(N*D) rows whose products give the tiles: the class-sorted augmented
+rows of the Gaussian logits, the mean/difference rows of two cosine
+embeddings, or both prepared embeddings.  C classes add at most the
+O(C*D) class sums of the cosine form.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (COSINE, LOGITS_OVERFLOW, KernelSpec, _augmented_rows, _kernel_tile, _logits_tile, _prepared_rows,
-                      _upper_tiles)
+from .kernels import (COSINE, LOGITS_OVERFLOW, KernelSpec, _augmented_rows, _gram_tile, _kernel_tile, _logits_tile,
+                      _prepared_rows, _upper_tiles)
 
 # Rows and columns of the tiles in which the kernel sums walk the upper triangle.
-BLOCK = 128
-TILE = 256
+BLOCK = 256
+TILE = 512
 
 
 @dataclass(frozen=True)
@@ -139,27 +140,64 @@ def potential_equality_check(
     spec_s: KernelSpec,
     tol: float,
 ) -> EqualityReport:
-    """Max over all pairs of ``|K_t(x_i, x_j) - K_s(y_i, y_j)|``, in O(BLOCK*TILE) memory.
+    """Max over all pairs of ``|K_t(x_i, x_j) - K_s(y_i, y_j)|``, one ``BLOCK`` x ``TILE`` tile at a time.
 
     When the deviation stays within ``tol``, every information potential
     of the two embeddings agrees within ``tol`` as well for any labeling
     (each potential is a 1/N^2-scaled sum of N^2 kernel terms with
-    weights at most 1).
+    weights at most 1).  Two cosine kernels take one product per tile
+    (:func:`_cosine_differences`), other pairs both kernels' values.  A
+    NaN or infinite feature makes the deviation NaN.
     """
     teacher = np.asarray(teacher, dtype=float)
     student = np.asarray(student, dtype=float)
-    if teacher.shape[0] != student.shape[0]:
-        raise ValueError("teacher and student must embed the same samples")
+    if teacher.ndim != 2 or student.ndim != 2 or teacher.shape[0] != student.shape[0]:
+        raise ValueError("teacher and student must be N x D matrices embedding the same samples")
     if teacher.shape[0] == 0:
         raise ValueError("no samples to compare")
-    n = teacher.shape[0]
+    if not tol >= 0:  # NaN included
+        raise ValueError("tol must be non-negative")
+    if spec_t.family == spec_s.family == COSINE:
+        scale, tiles = 0.5, _cosine_differences(teacher, student, spec_t)
+    else:
+        scale, tiles = 1.0, _kernel_differences(teacher, student, spec_t, spec_s)
+    with np.errstate(invalid="ignore"):  # an infinite feature gives NaN, as a NaN one does
+        max_dev = scale * float(np.max([np.abs(dev, out=dev).max() for dev in tiles]))  # np.max keeps a NaN
+    return EqualityReport(max_deviation=max_dev, within_tol=max_dev <= tol, tol=tol)
+
+
+def _cosine_differences(teacher: np.ndarray, student: np.ndarray, spec: KernelSpec) -> Iterator[np.ndarray]:
+    """``g_t - g_s``, the difference of the Gram products of the guarded unit rows, tile by tile.
+
+    Rows ``a = [m, e, x]`` hold ``m = (u_t + u_s) / 2`` and ``e = u_t - u_s``
+    over the first ``k = min(Dt, Ds)`` columns, and x the wider side's other
+    columns.  A tile's columns take ``b = [e, m, +-x]`` (``-`` where the
+    student is the wider), so ``a_i . b_j = u_t,i . u_t,j - u_s,i . u_s,j``,
+    which is ``2 (K_t - K_s)`` up to the kernel's clip at +-1.  A copy's
+    ``e`` is 0, so its tiles are exactly 0.  ``a`` is built ``BLOCK`` rows
+    at a time: no N x D unit copy is held beside it.
+    """
+    (n, dt), ds = teacher.shape, student.shape[1]
+    k = min(dt, ds)
+    a = np.empty((n, dt + ds))
+    for lo in range(0, n, BLOCK):
+        t, s = (_prepared_rows(x[lo : lo + BLOCK], spec)[0] for x in (teacher, student))
+        wide = t if dt >= ds else s
+        np.concatenate([(t[:, :k] + s[:, :k]) * 0.5, t[:, :k] - s[:, :k], wide[:, k:]], axis=1, out=a[lo : lo + BLOCK])
+    buf, prod = np.empty(TILE * (dt + ds)), np.empty(BLOCK * TILE)
+    for rs, cs in _upper_tiles(n, BLOCK, TILE):
+        b = buf[: (cs.stop - cs.start) * (dt + ds)].reshape(-1, dt + ds)
+        np.concatenate([a[cs, k : 2 * k], a[cs, :k], (1.0 if dt >= ds else -1.0) * a[cs, 2 * k :]], axis=1, out=b)
+        yield _gram_tile(a, b, rs, slice(0, b.shape[0]), prod)
+
+
+def _kernel_differences(teacher: np.ndarray, student: np.ndarray, spec_t: KernelSpec,
+                        spec_s: KernelSpec) -> Iterator[np.ndarray]:
+    """``K_t - K_s`` tile by tile, from the kernel values of both prepared embeddings."""
     t_rows, t_stats = _prepared_rows(teacher, spec_t)
     s_rows, s_stats = _prepared_rows(student, spec_s)
     gram, k_t, k_s = (np.empty(BLOCK * TILE) for _ in range(3))
-    worst = 0.0
-    for rs, cs in _upper_tiles(n, BLOCK, TILE):
+    for rs, cs in _upper_tiles(teacher.shape[0], BLOCK, TILE):
         dev = _kernel_tile(t_rows, t_stats, rs, cs, spec_t, gram, k_t)
         dev -= _kernel_tile(s_rows, s_stats, rs, cs, spec_s, gram, k_s)
-        worst = np.maximum(worst, np.abs(dev, out=dev).max())  # np.maximum keeps a NaN
-    max_dev = float(worst)
-    return EqualityReport(max_deviation=max_dev, within_tol=max_dev <= tol, tol=tol)
+        yield dev

@@ -9,10 +9,11 @@ in the result.
 ``QUERY_BLOCK`` queries per matrix product, so it needs
 O(QUERY_BLOCK * N) memory for N database rows, never a queries x N
 matrix.  AP and top-k need only the rank of each relevant item, so
-``evaluate`` sorts one copy of each query's keys and finds each hit's
-rank by binary search; only a row with a tie, a signed-zero pair or a
-NaN is arg-sorted, stably.  ``average_precision_11pt`` scores one
-ranked list, with the same AP code as ``evaluate``.
+``evaluate`` gathers a block's hit keys, sorts its keys in place and
+finds each hit's rank by binary search; only a row with a tie or a
+signed-zero pair is arg-sorted, stably, from its recomputed keys.
+``average_precision_11pt`` scores one ranked list, with the same AP code
+as ``evaluate``.  Features must be finite.
 """
 
 from __future__ import annotations
@@ -40,8 +41,12 @@ class RetrievalIndex:
         self.db_labels = np.asarray(self.db_labels)
         if self.db_feats.ndim != 2:
             raise ValueError("database features must be an N x D matrix")
+        if self.db_labels.ndim != 1:
+            raise ValueError("database labels must be a 1-D array")
         if self.db_labels.shape[0] != self.db_feats.shape[0]:
             raise ValueError("database label count does not match the features")
+        if not np.all(np.isfinite(self.db_feats)):
+            raise ValueError("database features contain non-finite entries")
 
 
 @dataclass
@@ -61,30 +66,29 @@ def _strictly_increasing(sorted_keys: np.ndarray) -> np.ndarray:
     return np.all(sorted_keys[:, 1:] > sorted_keys[:, :-1], axis=1)
 
 
-def _hit_ranks(keys: np.ndarray, relevant: np.ndarray, sorted_keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """0-based rank of each relevant item in the stable ascending order of its row of ``keys``.
+def _hit_ranks(queries: np.ndarray, db: np.ndarray, relevant: np.ndarray, n_rel: np.ndarray,
+               keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0-based rank of each relevant item in the stable ascending order of its row of ``queries @ db.T``.
 
-    The ranks are written row after row, ascending within a row, into
-    the flat buffer ``out``; the filled prefix is returned.
-    ``sorted_keys``, shaped like ``keys``, is overwritten with each row
-    sorted.  A row whose sorted keys strictly increase has one order,
+    The keys go into ``keys``, sorted there row by row once the hit keys
+    are gathered.  A row of strictly increasing sorted keys has one order,
     so a hit's rank is the position of its key there; any other row is
-    arg-sorted stably.
+    arg-sorted stably from its keys recomputed by the same product on the
+    same operands, bit for bit.  The ranks fill the flat ``out`` row after
+    row, ascending within a row; the filled prefix is returned.
     """
-    np.copyto(sorted_keys, keys)
-    sorted_keys.sort(axis=1)
-    sure = _strictly_increasing(sorted_keys)
-    end = 0
-    for i in range(keys.shape[0]):
-        if sure[i]:
-            hit_keys = keys[i][relevant[i]]
-            hit_keys.sort()
-            hits = np.searchsorted(sorted_keys[i], hit_keys)
-        else:
-            hits = np.flatnonzero(relevant[i][np.argsort(keys[i], kind="stable")])
-        out[end : end + hits.size] = hits
-        end += hits.size
-    return out[:end]
+    hit_keys = np.matmul(queries, db.T, out=keys)[relevant]  # row after row
+    keys.sort(axis=1)
+    sure = _strictly_increasing(keys)
+    ends = np.cumsum(n_rel)  # every relevant item is a hit
+    spans = [slice(end - count, end) for end, count in zip(ends.tolist(), n_rel.tolist())]
+    for i in np.flatnonzero(sure).tolist():
+        out[spans[i]] = np.searchsorted(keys[i], np.sort(hit_keys[spans[i]]))
+    if not sure.all():
+        np.matmul(queries, db.T, out=keys)
+        for i in np.flatnonzero(~sure).tolist():
+            out[spans[i]] = np.flatnonzero(relevant[i][np.argsort(keys[i], kind="stable")])
+    return out[: ends[-1]]
 
 
 def _ap_11pt_rows(rows: np.ndarray, ranks: np.ndarray, n_rel: np.ndarray) -> np.ndarray:
@@ -148,19 +152,20 @@ def evaluate(
     ks = list(dict.fromkeys(ks)) if ks else []
     if queries.ndim != 2 or queries.shape[0] == 0:
         raise ValueError("query set is empty")
-    if query_labels.shape[0] != queries.shape[0]:
-        raise ValueError("query label count does not match the queries")
+    if query_labels.ndim != 1 or query_labels.shape[0] != queries.shape[0]:
+        raise ValueError("query labels must be a 1-D array with one label per query")
     if queries.shape[1] != index.db_feats.shape[1]:
         raise ValueError(f"query dim {queries.shape[1]} does not match database dim {index.db_feats.shape[1]}")
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("query features contain non-finite entries")
     for k in ks:
-        if k < 1 or k > index.db_feats.shape[0]:
-            raise ValueError(f"top-k value {k} out of range for database of {index.db_feats.shape[0]}")
+        if not isinstance(k, (int, np.integer)) or k < 1 or k > index.db_feats.shape[0]:
+            raise ValueError(f"top-k value {k!r} is not an integer in 1..{index.db_feats.shape[0]}")
 
     db_unit = _unit_rows(index.db_feats)
-    queries_unit = _unit_rows(queries)
-    n = db_unit.shape[0]
-    size = min(QUERY_BLOCK, queries.shape[0]) * n
-    keys_buf, sorted_buf, ranks_buf = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    neg_queries = -_unit_rows(queries)  # negation is exact, so the keys are the negated cosines bit for bit
+    size = min(QUERY_BLOCK, queries.shape[0]) * db_unit.shape[0]
+    keys_buf, ranks_buf = np.empty(size), np.empty(size, dtype=np.intp)
     aps: list[float] = []
     topk_sums = {k: 0.0 for k in ks}
     n_skipped = 0
@@ -173,15 +178,12 @@ def evaluate(
         if not kept.any():
             continue
         relevant, n_rel = relevant[kept], n_rel[kept]
-        m = n_rel.size
-        keys = np.matmul(queries_unit[lo : lo + QUERY_BLOCK][kept], db_unit.T,
-                         out=keys_buf[: m * n].reshape(m, n))
-        np.negative(keys, out=keys)
-        ranks = _hit_ranks(keys, relevant, sorted_buf[: m * n].reshape(m, n), ranks_buf)
-        rows = np.repeat(np.arange(m), n_rel)  # every relevant item is a hit
+        ranks = _hit_ranks(neg_queries[lo : lo + QUERY_BLOCK][kept], db_unit, relevant, n_rel,
+                           keys_buf[: relevant.size].reshape(relevant.shape), ranks_buf)
+        rows = np.repeat(np.arange(n_rel.size), n_rel)  # every relevant item is a hit
         aps.extend(_ap_11pt_rows(rows, ranks, n_rel).tolist())
         for k in ks:
-            for precision in (np.bincount(rows[ranks < k], minlength=m) / k).tolist():  # query order
+            for precision in (np.bincount(rows[ranks < k], minlength=n_rel.size) / k).tolist():  # query order
                 topk_sums[k] += precision
 
     if not aps:

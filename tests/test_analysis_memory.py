@@ -24,6 +24,7 @@ from pkt import (
     write_features,
 )
 from pkt.qmi import BLOCK, TILE
+from pkt.retrieval import QUERY_BLOCK
 
 N = 3000
 BOUND = N * N * 8 / 4
@@ -71,6 +72,20 @@ def test_equality_check_holds_three_tiles(n, family):
         tracemalloc.stop()
     # the prepared copies of both inputs, the tiles, and 256 KB for everything else
     assert peak <= 2 * teacher.nbytes + 3 * BLOCK * TILE * 8 + 256 * 1024
+
+
+def test_evaluate_holds_one_key_block():
+    tracemalloc.start()
+    try:
+        CALLS["evaluate"]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the unit rows of the database and the queries, one QUERY_BLOCK x N
+    # block of keys and one of hit ranks, and one more block's bytes for the
+    # relevance masks, the gathered hit keys and the AP work arrays
+    block = QUERY_BLOCK * N * 8
+    assert peak <= FEATS.nbytes + QUERIES.nbytes + 3 * block
 
 
 @pytest.mark.parametrize("classes", ["10", "n"])

@@ -122,8 +122,9 @@ def test_golden_training_digest(case, tmp_path):
     assert golden_digest(case, tmp_path) == pinned(GOLDEN)[case]
 
 
-# The analysis commands on a 300-row database and 90 queries: both sizes
-# span several tiles of the kernel sums and several blocks of ranking.
+# The analysis commands on a 300-row database and 90 queries: the rows
+# span two row ranges of the kernel-sum tiles (qmi.BLOCK = 256), and the
+# queries two blocks of ranking (retrieval.QUERY_BLOCK = 64).
 ANALYSIS_GOLDEN = {
     "SkylakeX": {
         "embed": "ae0be527de7f2594fe8aebe6304dc80b5c11878c79083fbdd759c9995a27466f",
@@ -135,7 +136,7 @@ ANALYSIS_GOLDEN = {
         "embed": "ae0be527de7f2594fe8aebe6304dc80b5c11878c79083fbdd759c9995a27466f",
         "eval": "da20630335b33dad5aa40238e01b2950a9657216b344f9181b00036671b73336",
         "qmi_cosine": "34722d84d4ed37662ce2a3f3664b2f41845ad4f111f99a55cc771e01bed09b56",
-        "qmi_gaussian": "bd4db98db7ac4f0af2e63d6041b1a0f5f42ff155d42c66ebf785ab5a39029bc3",
+        "qmi_gaussian": "ebb2a3bcbc00d1fb9a70e68475c2c39a9db5e999df84355c9fde1be1127e6a04",
     },
 }
 

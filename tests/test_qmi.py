@@ -202,6 +202,68 @@ def test_equality_check_propagates_nan():
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_equality_check_of_an_infinite_feature_is_nan_without_a_warning(spec, bad):
+    # pytest turns warnings into errors, so a numpy RuntimeWarning fails this test
+    feats = np.random.default_rng(6).normal(size=(BLOCK + 5, 3))
+    broken = feats.copy()
+    broken[BLOCK + 2, 1] = bad
+    report = potential_equality_check(feats, broken, spec, spec, tol=1.0)
+    assert math.isnan(report.max_deviation)
+    assert not report.within_tol
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12])
+def test_equality_check_rejects_a_nan_or_negative_tol(tol):
+    feats = np.random.default_rng(9).normal(size=(6, 3))
+    with pytest.raises(ValueError, match="tol"):
+        potential_equality_check(feats, feats.copy(), cosine_kernel(), cosine_kernel(), tol=tol)
+
+
+def dense_deviation(teacher, student, spec_t, spec_s):
+    return np.abs(kernel_matrix(teacher, spec_t) - kernel_matrix(student, spec_s)).max()
+
+
+@pytest.mark.parametrize("wider", ["teacher", "student"])
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, TILE + 3])
+def test_cosine_equality_check_at_unequal_widths_matches_the_dense_difference(n, wider):
+    # the wider side's small extra columns carry the whole deviation, so a
+    # wrong sign on their product would show far above rounding
+    rng = np.random.default_rng(n)
+    narrow = rng.normal(size=(n, 3))
+    wide = np.hstack([narrow, 1e-3 * rng.normal(size=(n, 2))])
+    teacher, student = (wide, narrow) if wider == "teacher" else (narrow, wide)
+    spec = cosine_kernel()
+    report = potential_equality_check(teacher, student, spec, spec, tol=1e-3)
+    assert 0.0 < report.max_deviation < 1e-3
+    assert abs(report.max_deviation - dense_deviation(teacher, student, spec, spec)) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
+def test_equality_check_of_a_copy_is_plus_zero(spec):
+    feats = np.random.default_rng(4).normal(size=(TILE + 3, 4))
+    feats[5] = 0.0  # a zero row takes the norm guard
+    report = potential_equality_check(feats, feats.copy(), spec, spec, tol=0.0)
+    assert report.max_deviation == 0.0 and math.copysign(1.0, report.max_deviation) == 1.0
+    assert report.within_tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, BLOCK + 8), dt=st.integers(1, 6), ds=st.integers(1, 6),
+       noise=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]))
+def test_cosine_equality_check_matches_the_dense_difference_at_any_widths(seed, n, dt, ds, noise):
+    rng = np.random.default_rng(seed)
+    teacher = rng.normal(size=(n, dt))
+    student = noise * rng.normal(size=(n, ds))
+    student[:, : min(dt, ds)] += teacher[:, : min(dt, ds)]
+    spec = cosine_kernel()
+    report = potential_equality_check(teacher, student, spec, spec, tol=1.0)
+    assert abs(report.max_deviation - dense_deviation(teacher, student, spec, spec)) <= 1e-15
+    copy = potential_equality_check(student, student.copy(), spec, spec, tol=0.0).max_deviation
+    assert copy == 0.0 and math.copysign(1.0, copy) == 1.0
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
 @pytest.mark.parametrize("row", [0, BLOCK + 2])
 def test_one_nan_feature_makes_every_potential_nan(spec, row):
     feats = np.random.default_rng(7).normal(size=(TILE + 40, 3))

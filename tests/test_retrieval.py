@@ -155,6 +155,58 @@ def test_evaluate_validation():
         RetrievalIndex(np.eye(3), np.array([0, 1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_rejects_non_finite_features(bad):
+    rng = np.random.default_rng(5)
+    db, labels = rng.normal(size=(10, 3)), np.arange(10) % 2
+    queries, q_labels = rng.normal(size=(4, 3)), np.arange(4) % 2
+    broken = db.copy()
+    broken[6, 1] = bad
+    with pytest.raises(ValueError, match="^database features"):
+        evaluate(RetrievalIndex(broken, labels), queries, q_labels)
+    broken = queries.copy()
+    broken[2, 0] = bad
+    with pytest.raises(ValueError, match="^query features"):
+        evaluate(RetrievalIndex(db, labels), broken, q_labels)
+
+
+def test_evaluate_rejects_labels_that_are_not_1d_and_a_k_that_is_not_an_integer():
+    db, labels = np.eye(3), np.array([0, 1, 0])
+    with pytest.raises(ValueError, match="database labels must be a 1-D array"):
+        RetrievalIndex(db, labels[:, None])
+    index = RetrievalIndex(db, labels)
+    with pytest.raises(ValueError, match="query labels must be a 1-D array"):
+        evaluate(index, np.eye(3), labels[:, None])
+    for k in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="top-k value"):
+            evaluate(index, np.eye(3), labels, ks=[k])
+    assert list(evaluate(index, np.eye(3), labels, ks=[np.int64(2)]).top_k) == [2]
+
+
+def test_a_block_with_one_tied_row_ranks_as_the_stable_argsort_of_its_product():
+    # a zero query, whose keys are all +-0, among queries whose keys are
+    # distinct: the sure rows take the binary search and the tied row the
+    # stable arg-sort of its recomputed keys.  The oracle sorts the keys of
+    # the same block product, so it is exact.
+    rng = np.random.default_rng(17)
+    db, db_labels = rng.normal(size=(200, 5)), np.arange(200) % 3
+    queries, q_labels = rng.normal(size=(20, 5)), rng.integers(0, 3, size=20)
+    queries[7] = 0.0
+    keys = -(_unit_rows(queries) @ _unit_rows(db).T)
+    sure = np.all(np.diff(np.sort(keys, axis=1), axis=1) > 0, axis=1)
+    assert np.flatnonzero(~sure).tolist() == [7]
+    orders = np.argsort(keys, axis=1, kind="stable")
+    assert orders[7].tolist() == list(range(200))
+    kept = [db_labels[order] == lab for order, lab in zip(orders, q_labels)]
+    result = evaluate(RetrievalIndex(db, db_labels), queries, q_labels, [1, 10])
+    assert result.per_query_ap == [average_precision_11pt(rel, int(rel.sum())) for rel in kept]
+    for k in (1, 10):
+        total = 0.0
+        for rel in kept:  # in query order
+            total += float(rel[:k].sum()) / k
+        assert result.top_k[k] == total / len(kept)
+
+
 def oracle_evaluate(db, db_labels, queries, query_labels):
     """Per query: stable argsort of the negated cosine to every database row, then the AP scan."""
     db_unit = db / np.maximum(np.linalg.norm(db, axis=1), 1e-8)[:, None]
@@ -172,17 +224,17 @@ def tie_cases():
     # Every database row points along a coordinate axis, so its unit row is
     # exactly +-e_k and every cosine is exactly a query coordinate, whatever
     # the summation order: duplicated directions tie exactly, and a zero
-    # coordinate gives +0 and -0 keys.
+    # coordinate or a zero row gives +0 and -0 keys.
     rng = np.random.default_rng(83)
     axes = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, 0, 0]])
     duplicated = axes[rng.integers(0, 4, size=150)] * rng.uniform(0.5, 3.0, size=(150, 1))
     all_equal = np.tile([[2.0, 0.0, 0.0]], (150, 1))
-    with_nan = duplicated.copy()
-    with_nan[[3, 70, 149]] = [np.nan, 1.0, 0.0]
-    return {"duplicated": duplicated, "all_equal": all_equal, "nan_row": with_nan}
+    zero_rows = duplicated.copy()
+    zero_rows[[3, 70, 149]] = [-0.0, 0.0, -0.0]
+    return {"duplicated": duplicated, "all_equal": all_equal, "zero_rows": zero_rows}
 
 
-@pytest.mark.parametrize("case", ["duplicated", "all_equal", "nan_row"])
+@pytest.mark.parametrize("case", ["duplicated", "all_equal", "zero_rows"])
 def test_exact_ties_follow_the_stable_order(case):
     rng = np.random.default_rng(89)
     db = tie_cases()[case]
