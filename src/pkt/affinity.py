@@ -19,10 +19,12 @@ is at least 1 and the conditionals are exact at any positive width.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 
 import numpy as np
 
-from .kernels import COSINE, LOGITS_OVERFLOW, KernelSpec, _kernel_of_rows, _logits_of_rows, _prepared_rows
+from .kernels import (COSINE, LOGITS_OVERFLOW, TILE, KernelSpec, _column_blocks, _gram_tile, _kernel_of_gram,
+                      _logits_of_rows, _prepared_rows)
 
 log = logging.getLogger(__name__)
 
@@ -42,46 +44,57 @@ def _checked_features(feats: np.ndarray) -> np.ndarray:
     return feats
 
 
-def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
-                          out: np.ndarray | None = None,
-                          q_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(a, q, c)``, the conditionals ``q`` of prepared rows and their :func:`_row_stats`.
+def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, out: np.ndarray,
+                          q_out: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(cs, a, q, c)`` for each of the :func:`_column_blocks` ``cs``: the N x c conditionals ``q`` of those conditioning columns.
 
-    Cosine: ``a`` is the kernel matrix with a zero diagonal, ``c`` its
-    column sums and ``q = a / c``; ``q_out`` may be ``out``.  Gaussian:
-    ``a`` holds the logits less their column maxima, with a zero
-    diagonal, ``c`` the log column sums of ``exp(a)`` off the diagonal,
-    and ``log q = a - c`` off the diagonal; ``q_out`` must be another
-    array than ``out``.  ``a`` is written into ``out`` and ``q`` into
-    ``q_out``, each an N x N float array or a new one when None.
+    The rows come from :func:`_prepared_rows` with their statistics.  The
+    self-pairs of block ``cs`` are the diagonal of its rows ``cs``.
+    Cosine: ``a`` is the kernel with zero self-pairs, ``c`` its column
+    sums and ``q = a / c``; ``q_out`` may be ``out``.  Gaussian: ``a``
+    holds the logits less their column maxima, with zero self-pairs,
+    ``c`` the log column sums of ``exp(a)`` off the self-pairs, and
+    ``log q = a - c`` off them; ``q_out`` must be another array than
+    ``out``.  ``a`` and ``q`` are views at the start of the flat float
+    arrays ``out`` and ``q_out``, of at least N * min(N, TILE) entries
+    each, which the next block overwrites.
     """
+    n = rows.shape[0]
     if spec.family == COSINE:
-        a = _kernel_of_rows(rows, stats, spec, out=out)
-        np.fill_diagonal(a, 0.0)
-        c = a.sum(axis=0)
-        if np.any(c < DENOM_FLOOR):
-            raise ValueError("degenerate geometry: a conditioning slot has near-zero kernel mass")
-        return a, np.divide(a, c[None, :], out=q_out), c
-    # The largest off-diagonal logit of each column becomes 0, so its
-    # exponentials sum to at least 1.  A maximum that is not finite means
-    # that every squared distance of its column, divided by the width,
-    # overflows.
-    a = _logits_of_rows(rows, stats, spec.width, out=out)
-    np.fill_diagonal(a, -np.inf)
-    top = a.max(axis=0)
-    if not np.all(np.isfinite(top)):
-        raise ValueError(LOGITS_OVERFLOW)
-    a -= top
-    q = np.exp(a, out=q_out)
-    colsums = q.sum(axis=0)
-    q /= colsums[None, :]
-    np.fill_diagonal(a, 0.0)
-    return a, q, np.log(colsums)
+        for cs in _column_blocks(n):
+            a = _kernel_of_gram(_gram_tile(rows, rows, slice(0, n), cs, out), stats, stats[cs], spec)
+            np.fill_diagonal(a[cs], 0.0)
+            c = a.sum(axis=0)
+            if np.any(c < DENOM_FLOOR):
+                raise ValueError("degenerate geometry: a conditioning slot has near-zero kernel mass")
+            yield cs, a, np.divide(a, c[None, :], out=q_out[: a.size].reshape(a.shape)), c
+        return
+    for cs, a in _logits_of_rows(rows, stats, spec.width, out):
+        # The largest off-diagonal logit of each column becomes 0, so its
+        # exponentials sum to at least 1.  A maximum that is not finite
+        # means that every squared distance of its column, divided by the
+        # width, overflows.
+        np.fill_diagonal(a[cs], -np.inf)
+        top = a.max(axis=0)
+        if not np.all(np.isfinite(top)):
+            raise ValueError(LOGITS_OVERFLOW)
+        a -= top
+        q = np.exp(a, out=q_out[: a.size].reshape(a.shape))
+        colsums = q.sum(axis=0)
+        q /= colsums[None, :]
+        np.fill_diagonal(a[cs], 0.0)
+        yield cs, a, q, np.log(colsums)
 
 
 def conditional_probabilities(feats: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Column-stochastic conditional matrix; each slot sums to 1 over its non-self partners."""
-    return _conditionals_of_rows(*_prepared_rows(_checked_features(feats), spec), spec)[1]
+    rows, stats = _prepared_rows(_checked_features(feats), spec)
+    n = rows.shape[0]
+    q = np.empty((n, n))
+    out, q_out = np.empty((2, n * min(n, TILE)))
+    for cs, _, block, _ in _conditionals_of_rows(rows, stats, spec, out, q_out):
+        q[:, cs] = block
+    return q
 
 
 def sample_batch(n_total: int, batch_size: int, rng_seed: int, epoch: int) -> list[np.ndarray]:

@@ -15,25 +15,29 @@ value, ``sum p log p + weight * sum t log t - sum p_eff log q`` with
 from the log-domain conditionals (the SNE/t-SNE formulation), exact at
 any width: nothing is clamped.  With a cosine student the conditionals
 are linear, and ``Q_FLOOR`` clamps them inside the log.
+
+Every conditional is normalized down its own conditioning column, so a
+batch is computed in blocks of ``TILE`` columns: each block's teacher
+conditionals, targets, student conditionals, loss terms and gradient
+weights ``a[:, cs]``, while ``a @ y``, ``a.T @ y`` and the coupling sums
+accumulate.  A batch of N rows holds O(N * D) rows and five N x TILE
+blocks, never an N x N array.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .affinity import _checked_features, _conditionals_of_rows
-from .kernels import COSINE, NORM_EPS, KernelSpec, _prepared_rows
+from .kernels import COSINE, NORM_EPS, TILE, KernelSpec, _column_blocks, _prepared_rows
 
 # Floor applied to cosine student conditionals and to kl_loss's q inside
 # the log; far below any conditional reachable with cosine kernels at
 # trainable batch sizes.
 Q_FLOOR = 1e-7
-
-# Flat N * N buffers that one pkt_loss_and_grad call writes its N x N arrays into.
-LOSS_BUFFERS = 4
 
 
 @dataclass
@@ -60,52 +64,50 @@ def kl_loss(p_teacher: np.ndarray, q_student: np.ndarray) -> float:
     return float(np.sum(p[m] * np.log(p[m] / np.clip(q, Q_FLOOR, 1.0)[m])))
 
 
-def _supervised_into(p: np.ndarray, labels: np.ndarray, weight: float, out: np.ndarray) -> float:
-    """Write ``p_eff = p + weight * t`` into ``out`` for the label targets ``t``; return ``sum t log t``.
+def _label_weights(labels: np.ndarray, weight: float) -> tuple[np.ndarray, float]:
+    """Each slot's weighted target ``weight / c_j`` and ``sum t log t``, for the label targets ``t``.
 
     ``t[i, j] = 1 / c_j`` if samples i != j share a class, c_j being the
     number of slot j's same-class partners.  A slot without partners is
     an all-zero column of ``t``, which adds nothing to either sum, so a
     batch of distinct labels leaves ``p_eff`` equal to ``p``.
     """
-    same = labels[:, None] == labels[None, :]
-    np.fill_diagonal(same, False)
-    counts = same.sum(axis=0)
-    np.multiply(same, (1.0 / np.maximum(counts, 1)) * weight, out=out)
-    out += p
-    return float(np.log(1.0 / counts[counts > 0]).sum())
+    _, inverse, class_sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    counts = class_sizes[inverse] - 1
+    return (1.0 / np.maximum(counts, 1)) * weight, float(np.log(1.0 / counts[counts > 0]).sum())
 
 
-def _dloss_dq(p_eff: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _supervised_into(p: np.ndarray, labels: np.ndarray, cs: slice, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the block ``p_eff[:, cs] = p + weight * t[:, cs]`` into the flat ``out``, from :func:`_label_weights`' ``inv``."""
+    same = labels[:, None] == labels[None, cs]
+    np.fill_diagonal(same[cs], False)
+    p_eff = np.multiply(same, inv[cs], out=out[: p.size].reshape(p.shape))
+    p_eff += p
+    return p_eff
+
+
+def _dloss_dq(p_eff: np.ndarray, q: np.ndarray, cs: slice, out: np.ndarray) -> np.ndarray:
     # d/dq of sum p*log(p/clamp(q)) = -p/q where the clamp is inactive
     # and p > 0; zero elsewhere (clamped entries are locally constant).
     active = (p_eff > 0.0) & (q > Q_FLOOR)
-    np.fill_diagonal(active, False)
+    np.fill_diagonal(active[cs], False)
     out.fill(0.0)
     np.negative(p_eff, out=out, where=active)
     return np.divide(out, q, out=out, where=active)
 
 
-def _squares(workspace, n: int, arrays) -> list[np.ndarray]:
-    """The first ``n * n`` entries of each workspace buffer, as C-contiguous n x n arrays."""
-    if len(workspace) < LOSS_BUFFERS:
-        raise ValueError(f"the workspace needs {LOSS_BUFFERS} buffers")
-    squares = []
-    for buf in workspace[:LOSS_BUFFERS]:
-        if buf.dtype != np.float64 or buf.ndim != 1 or buf.size < n * n or not buf.flags.c_contiguous:
-            raise ValueError(f"workspace buffers must be flat float64 arrays of at least {n * n} entries")
-        if any(np.may_share_memory(buf, a) for a in arrays):
-            raise ValueError("workspace buffers must not share memory with the inputs")
-        squares.append(buf[: n * n].reshape(n, n))
-    return squares
+def _sum_x_log_x(m: np.ndarray, cs: slice, buf: np.ndarray) -> float:
+    """Sum of ``m * log(m)`` over the entries of the block ``m[:, cs]`` with ``m > 0``, self-pairs excluded, with the flat ``buf`` as scratch."""
+    logs = buf[: m.size].reshape(m.shape)
+    logs.fill(0.0)
+    np.log(m, out=logs, where=m > 0.0)
+    np.fill_diagonal(logs[cs], 0.0)
+    return float(np.dot(m.ravel(), logs.ravel()))
 
 
-def _sum_x_log_x(m: np.ndarray, buf: np.ndarray) -> float:
-    """Sum of ``m * log(m)`` over the off-diagonal entries of ``m`` with ``m > 0``, using the N x N ``buf``."""
-    buf.fill(0.0)
-    np.log(m, out=buf, where=m > 0.0)
-    np.fill_diagonal(buf, 0.0)
-    return float(np.dot(m.ravel(), buf.ravel()))
+def _block_buffers(n: int) -> np.ndarray:
+    """The five flat float arrays that :func:`_batch_loss` works in, for batches of up to n rows."""
+    return np.empty((5, n * min(n, TILE)))
 
 
 def pkt_loss_and_grad(
@@ -113,9 +115,6 @@ def pkt_loss_and_grad(
     p_teacher: np.ndarray,
     student_spec: KernelSpec,
     sup: tuple[np.ndarray, float] | None = None,
-    *,
-    workspace: Sequence[np.ndarray] | None = None,
-    p_log_p: float | None = None,
 ) -> LossReport:
     """KL(teacher || student-conditionals(y)) and its exact gradient in y.
 
@@ -139,20 +138,13 @@ def pkt_loss_and_grad(
 
     In both, ``w = a + a.T`` sums the two slots each unordered pair
     feeds, and neither family builds it: ``w @ y = a @ y + a.T @ y``,
-    and a row sum of w (or of ``w * cos``, cos being symmetric) is a's
-    row sum plus its column sum.
+    and a row sum of w (or of ``w * cos``) is a's row sum plus its
+    column sum, ``cos`` being symmetric to rounding.
 
     ``sup`` is an optional ``(labels, weight)`` pair, one class label per
     row of ``y``, adding ``weight * KL(t || conditionals(y))`` to the
     loss, where the targets ``t`` are uniform over each sample's
-    same-class partners.  ``p_log_p`` is ``sum p log p`` over the
-    teacher's off-diagonal entries when the caller already has it; when
-    None, it is computed from ``p_teacher``.
-
-    Every N x N float array of the call is written into ``workspace``, a
-    sequence of ``LOSS_BUFFERS`` flat float64 arrays of at least N * N
-    entries each that share no memory with the inputs; by default the
-    call allocates its own.  ``grad_y`` is always a new array.
+    same-class partners.  ``grad_y`` is always a new array.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(p_teacher, dtype=float)
@@ -166,65 +158,82 @@ def pkt_loss_and_grad(
         labels = np.asarray(labels)
         if labels.shape != (n,):
             raise ValueError(f"supervised labels of shape {labels.shape} are not one label per student row")
-    if workspace is None:
-        workspace = [np.empty(n * n) for _ in range(LOSS_BUFFERS)]
-    bufs = _squares(workspace, n, (y, p))
-
-    if p_log_p is None:
-        p_log_p = _sum_x_log_x(p, bufs[3])
-    p_eff, sup_log = p, 0.0
-    if sup is not None and weight > 0:
-        sup_log = weight * _supervised_into(p, labels, weight, bufs[2])
-        p_eff = bufs[2]
-    rows, stats = _prepared_rows(_checked_features(y), student_spec)
-    cross_and_grad = _cosine_cross_and_grad if student_spec.family == COSINE else _gaussian_cross_and_grad
-    cross, grad = cross_and_grad(rows, stats, p_eff, student_spec, bufs)
-    return LossReport(value=p_log_p + sup_log - cross, grad_y=grad, n_pairs=n * (n - 1))
+        sup = (labels, weight) if weight > 0 else None
+    bufs = _block_buffers(n)
+    blocks = ((cs, p[:, cs], _sum_x_log_x(p[:, cs], cs, bufs[1])) for cs in _column_blocks(n))
+    return _batch_loss(y, student_spec, blocks, sup, bufs)
 
 
-def _paired(a: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``(a + a.T) @ y - r * y`` for an N x N ``a`` and N row weights ``r``, without building ``a + a.T``."""
-    return a @ y + a.T @ y - r[:, None] * y
+def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[slice, np.ndarray, float]],
+                sup: tuple[np.ndarray, float] | None, bufs: np.ndarray) -> LossReport:
+    """The loss and gradient of :func:`pkt_loss_and_grad` for a student ``y``, one block of conditioning columns at a time.
+
+    ``teacher_blocks`` yields ``(cs, p, part)`` for each of the
+    :func:`_column_blocks` ``cs`` in order: the N x c teacher
+    conditionals ``p[:, cs]``, and the block's part of ``sum p log p``,
+    after which ``bufs[1]`` is free.  ``bufs`` comes from
+    :func:`_block_buffers`; ``sup`` is None or has a positive weight.
+    """
+    rows, stats = _prepared_rows(_checked_features(y), spec)
+    n = rows.shape[0]
+    p_log_p = sup_log = cross = 0.0
+    if sup is not None:
+        labels, weight = sup
+        inv, t_log_t = _label_weights(labels, weight)
+        sup_log = weight * t_log_t
+    ay, aty, row_terms, col_terms = np.zeros_like(rows), np.empty_like(rows), np.zeros(n), np.empty(n)
+    block_terms = _cosine_block if spec.family == COSINE else _gaussian_block
+    student = _conditionals_of_rows(rows, stats, spec, bufs[2], bufs[3])
+    for (cs, p, part), (_, s, q, c) in zip(teacher_blocks, student):
+        p_log_p += part
+        p_eff = p if sup is None else _supervised_into(p, labels, cs, inv, bufs[1])
+        cross_part, a, row_part, col_terms[cs] = block_terms(p_eff, cs, s, q, c, bufs[4])
+        cross += cross_part
+        ay += a @ rows[cs]
+        aty[cs] = a.T @ rows
+        row_terms += row_part
+    value = p_log_p + sup_log - cross
+    coupling = row_terms + col_terms
+    if spec.family == COSINE:  # below the norm guard the norm is constant
+        coupling = np.where(stats > NORM_EPS, coupling, 0.0)
+        grad = (ay + aty - coupling[:, None] * rows) / (2.0 * stats[:, None])
+    else:
+        grad = (2.0 / spec.width) * (ay + aty - coupling[:, None] * rows)
+    return LossReport(value=value, grad_y=grad, n_pairs=n * (n - 1))
 
 
-def _gaussian_cross_and_grad(y, stats, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
-    """``sum p_eff log q`` and the loss gradient for a Gaussian student ``y`` and its squared norms.
+def _gaussian_block(p_eff, cs, shifted, q, log_colsums, _) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """A Gaussian block's part of ``sum p_eff log q``, its gradient weights ``a`` in the logits, and a's row and column sums.
 
     The cross term is one dot product with the shifted logits less one
-    with the log column sums.  Only ``bufs[0]`` and ``bufs[1]`` are used.
+    with the log column sums; ``a`` is written over ``q``.
     """
-    l_buf, q_buf = bufs[:2]
-    shifted, q, log_colsums = _conditionals_of_rows(y, stats, spec, out=l_buf, q_out=q_buf)
     mass = p_eff.sum(axis=0)
-    mass -= np.diagonal(p_eff)
+    mass -= np.diagonal(p_eff[cs])
     cross = float(np.dot(p_eff.ravel(), shifted.ravel())) - float(np.dot(mass, log_colsums))
-
     a = np.multiply(q, mass[None, :], out=q)
     a -= p_eff
-    np.fill_diagonal(a, 0.0)
-    return cross, (2.0 / spec.width) * _paired(a, y, a.sum(axis=1) + a.sum(axis=0))
+    np.fill_diagonal(a[cs], 0.0)
+    return cross, a, a.sum(axis=1), a.sum(axis=0)
 
 
-def _cosine_cross_and_grad(u, dens, p_eff, spec, bufs) -> tuple[float, np.ndarray]:
-    """``sum p_eff log q`` and the loss gradient for a cosine student, from its unit rows and guarded norms.
+def _cosine_block(p_eff, cs, k, q, colsums, buf) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """A cosine block's part of ``sum p_eff log q``, its gradient weights ``a`` in the kernel, and the row and column sums of ``a * cos``.
 
     The cross term takes q clamped at ``Q_FLOOR``, whose log goes into
-    the gradient's buffer before the gradient is built there.
+    the flat ``buf`` before ``a`` is built there.
     """
-    k_buf, q_buf, _, g_buf = bufs
-    k, q, colsums = _conditionals_of_rows(u, dens, spec, out=k_buf, q_out=q_buf)
-    log_q = np.log(np.clip(q, Q_FLOOR, 1.0, out=g_buf), out=g_buf)
-    np.fill_diagonal(log_q, 0.0)
+    g = buf[: q.size].reshape(q.shape)
+    log_q = np.log(np.clip(q, Q_FLOOR, 1.0, out=g), out=g)
+    np.fill_diagonal(log_q[cs], 0.0)
     cross = float(np.dot(p_eff.ravel(), log_q.ravel()))
 
-    a = _dloss_dq(p_eff, q, g_buf)
+    a = _dloss_dq(p_eff, q, cs, g)
     t = np.einsum("rc,rc->c", a, q)
     a -= t[None, :]
     a /= colsums[None, :]
-    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a[cs], 0.0)
 
-    cos = np.multiply(k, 2.0, out=k)  # bitwise symmetric as k is, so w's row terms are a's row plus column terms
+    cos = np.multiply(k, 2.0, out=k)
     cos -= 1.0
-    coupled = np.einsum("mn,mn->m", a, cos) + np.einsum("mn,mn->n", a, cos)
-    active = dens > NORM_EPS    # below the guard the norm is constant
-    return cross, _paired(a, u, np.where(active, coupled, 0.0)) / (2.0 * dens[:, None])
+    return cross, a, np.einsum("mn,mn->m", a, cos), np.einsum("mn,mn->n", a, cos)

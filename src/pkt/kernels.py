@@ -141,30 +141,39 @@ def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
     return out
 
 
-def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float, *,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Gaussian logits ``-clip(d^2, 0) / width`` of rows and their squared norms, to rounding.
+def _column_blocks(n: int) -> Iterator[slice]:
+    """Slices of the consecutive blocks of ``TILE`` columns of an n-column matrix."""
+    return (slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE))
 
-    Written into ``out``, a C-contiguous N x N float array, or a new one
-    when None.  Rows of at most ``AUGMENTED_MAX_DIM`` features take one
-    product of :func:`_augmented_rows` if those are finite; otherwise the
-    Gram product ``g`` becomes ``min(2g - s_i - s_j, 0) / width`` in
+
+def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float,
+                    buf: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(cs, g)`` for each of :func:`_column_blocks`: the Gaussian logits ``-clip(d^2, 0) / width``, to rounding, of every row against the rows ``cs``.
+
+    Each ``g`` is an N x c view at the start of the flat float array
+    ``buf``, which the next block overwrites.  Rows of at most
+    ``AUGMENTED_MAX_DIM`` features take a product of
+    :func:`_augmented_rows`, built once, if those are finite; otherwise
+    the Gram product ``g`` becomes ``min(2g - s_i - s_j, 0) / width`` in
     place, ``-inf`` only where ``d^2 / width`` overflows.
     """
     n, d = rows.shape
-    out = np.empty((n, n)) if out is None else out
-    if d <= AUGMENTED_MAX_DIM:
-        a, b = _augmented_rows(rows, stats, width, slice(None))
-        if np.all(np.isfinite(b)):
-            return _logits_tile(a, b, slice(0, n), slice(0, n), out.reshape(-1))
-    g = np.matmul(rows, rows.T, out=out)
-    g *= 2.0
-    g -= stats[:, None]
-    g -= stats[None, :]
-    np.minimum(g, 0.0, out=g)
-    with np.errstate(over="ignore"):  # a logit of -inf is a conditional of 0
-        g /= width
-    return g
+    every = slice(0, n)
+    aug = _augmented_rows(rows, stats, width, every) if d <= AUGMENTED_MAX_DIM else None
+    if aug is not None and not np.all(np.isfinite(aug[1])):
+        aug = None
+    for cs in _column_blocks(n):
+        if aug is not None:
+            yield cs, _logits_tile(*aug, every, cs, buf)
+            continue
+        g = _gram_tile(rows, rows, every, cs, buf)
+        g *= 2.0
+        g -= stats[:, None]
+        g -= stats[None, cs]
+        np.minimum(g, 0.0, out=g)
+        with np.errstate(over="ignore"):  # a logit of -inf is a conditional of 0
+            g /= width
+        yield cs, g
 
 
 def _kernel_tile(rows: np.ndarray, stats: np.ndarray, rs: slice, cs: slice, spec: KernelSpec,

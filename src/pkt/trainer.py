@@ -1,27 +1,29 @@
 """The transfer training loop: per-epoch shuffling, per-batch teacher
 and student conditional matrices, analytic gradient, backprop, Adam.
 
-The teacher features are checked and reduced to one statistic per row
-(its norm for the cosine kernel, its squared norm for the Gaussian) once
-per run.  Each batch then gathers its B teacher rows and builds their
-conditionals from those statistics (Gaussian ones in the log domain),
-with the ``sum p log p`` the loss value needs, so training holds O(N)
-statistics, O(B*D) rows per batch and one O(B^2) workspace per run,
-never a second N x D copy of the teacher, and matches the batch-wise
-estimation of the full similarity structure.  Class labels are only
-touched when ``sup_weight > 0``.
+The raw inputs are checked, and the teacher features reduced to one
+statistic per row (its norm for the cosine kernel, its squared norm for
+the Gaussian), once per run, before any step.  Each batch then gathers
+its B teacher rows and builds their conditionals from those statistics
+(Gaussian ones in the log domain) one block of ``TILE`` conditioning
+columns at a time, with the block's part of the ``sum p log p`` the loss
+value needs, and the loss takes each block as it comes.  So training
+holds O(N) statistics, O(B*D) rows per batch and five B x TILE blocks
+per run, never a B x B array or a second N x D copy of the teacher, and
+matches the batch-wise estimation of the full similarity structure.
+Class labels are only touched when ``sup_weight > 0``.
 """
 
 from __future__ import annotations
 
-import mmap
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .affinity import _conditionals_of_rows, sample_batch
 from .affinity import conditional_probabilities  # noqa: F401  (perfbench's tests read it from this module)
-from .divergence import LOSS_BUFFERS, _sum_x_log_x, pkt_loss_and_grad
+from .divergence import _batch_loss, _block_buffers, _sum_x_log_x
 from .kernels import COSINE, KernelSpec, _row_stats, cosine_kernel
 from .student import StudentModel, adam_step, init_adam
 
@@ -71,50 +73,35 @@ def _teacher_row_stats(teacher: np.ndarray, spec: KernelSpec, block: int) -> np.
     Rows are taken ``block`` at a time as C-contiguous arrays, the layout
     a batch's gathered rows have, so every statistic is bit-identical to
     the one the batch itself would compute, and no N x D temporary exists.
+    A statistic is finite only if its row is, so the entries of a block
+    are looked at only when one of its statistics is not finite.
     """
     stats = np.empty(teacher.shape[0])
     for start in range(0, teacher.shape[0], block):
         rows = np.ascontiguousarray(teacher[start : start + block])
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("teacher features contain non-finite entries")
         stats[start : start + block] = _row_stats(rows, spec)
+        if not np.all(np.isfinite(stats[start : start + block])) and not np.all(np.isfinite(rows)):
+            raise ValueError("teacher features contain non-finite entries")
     return stats
 
 
-def _teacher_conditionals(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray, spec: KernelSpec, *,
-                          out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float]:
-    """``conditional_probabilities(teacher[idx], spec)``, from the cached row statistics, and its ``sum p log p``.
+def _teacher_blocks(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray, spec: KernelSpec,
+                    bufs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, float]]:
+    """The teacher blocks ``(cs, p, part)`` of ``divergence._batch_loss`` for the batch ``idx``, from the cached row statistics.
 
-    The conditionals are written into ``out``, a C-contiguous B x B float
-    array, and ``scratch`` is another such array.  A cosine kernel is
-    built in ``out`` and normalized in place, and its ``sum p log p``
-    takes the logs in ``scratch``.  Gaussian logits are built in
-    ``scratch`` and normalized in the log domain into ``out``;
-    ``sum p log p`` is then one dot product of ``p`` with the shifted
-    logits, less the log column sums.
+    ``p`` is built in ``bufs[0]``.  A cosine block's ``part`` of
+    ``sum p log p`` takes its logs in ``bufs[1]``; Gaussian logits are
+    built there, and ``part`` is one dot product of ``p`` with the
+    shifted logits, less the log column sums.
     """
     rows, batch_stats = teacher[idx], stats[idx]
     if spec.family == COSINE:
         rows /= batch_stats[:, None]
-        _, p, _ = _conditionals_of_rows(rows, batch_stats, spec, out=out, q_out=out)
-        return p, _sum_x_log_x(p, scratch)
-    shifted, p, log_colsums = _conditionals_of_rows(rows, batch_stats, spec, out=scratch, q_out=out)
-    return p, float(np.dot(p.ravel(), shifted.ravel())) - float(log_colsums.sum())
-
-
-def _workspace(count: int, size: int) -> list[np.ndarray]:
-    """``count`` flat float64 buffers of ``size`` entries, in one anonymous memory mapping.
-
-    Every B x B array of a batch lives in these buffers: the teacher's
-    conditionals in the first, and the loss's own in the others, the
-    first of which holds the teacher's logits or logs until the loss
-    starts.  A tail batch of b < B rows uses the first b * b entries of
-    each, as a C-contiguous b x b array.  A mapping of its own, unlike heap memory, goes back to the
-    system when the run drops it, however the heap around it is used,
-    so every run starts from fresh pages and no run inherits another's.
-    """
-    block = np.frombuffer(mmap.mmap(-1, max(count * size, 1) * 8), dtype=np.float64)
-    return [block[i * size : (i + 1) * size] for i in range(count)]
+        for cs, _, p, _ in _conditionals_of_rows(rows, batch_stats, spec, bufs[0], bufs[0]):
+            yield cs, p, _sum_x_log_x(p, cs, bufs[1])
+        return
+    for cs, shifted, p, log_colsums in _conditionals_of_rows(rows, batch_stats, spec, bufs[1], bufs[0]):
+        yield cs, p, float(np.dot(p.ravel(), shifted.ravel())) - float(log_colsums.sum())
 
 
 def train(
@@ -144,22 +131,22 @@ def train(
         labels = np.asarray(labels)
         if labels.shape[0] != n:
             raise ValueError("label count does not match the inputs")
+    for start in range(0, n, cfg.batch_size):
+        if not np.all(np.isfinite(raw_inputs[start : start + cfg.batch_size])):
+            raise ValueError("raw inputs contain non-finite entries")
     teacher_stats = _teacher_row_stats(teacher_feats, cfg.teacher_spec, cfg.batch_size)
 
     state = init_adam(model.parameters(), lr=cfg.lr)
-    side = min(cfg.batch_size, n)
-    workspace = _workspace(1 + LOSS_BUFFERS, side * side)
+    bufs = _block_buffers(min(cfg.batch_size, n))
     trace: list[TraceEntry] = []
     for epoch in range(cfg.epochs):
         chunks = sample_batch(n, cfg.batch_size, cfg.seed, epoch)
         for b, idx in enumerate(chunks):
-            p_buf, scratch = (buf[: idx.size * idx.size].reshape(idx.size, idx.size) for buf in workspace[:2])
             try:
-                p, p_log_p = _teacher_conditionals(teacher_feats, teacher_stats, idx, cfg.teacher_spec,
-                                                   out=p_buf, scratch=scratch)
                 y = model.forward(raw_inputs[idx])
                 sup = (labels[idx], cfg.sup_weight) if cfg.sup_weight > 0 else None
-                report = pkt_loss_and_grad(y, p, cfg.student_spec, sup, workspace=workspace[1:], p_log_p=p_log_p)
+                blocks = _teacher_blocks(teacher_feats, teacher_stats, idx, cfg.teacher_spec, bufs)
+                report = _batch_loss(y, cfg.student_spec, blocks, sup, bufs)
                 if not (np.isfinite(report.value) and np.all(np.isfinite(report.grad_y))):
                     raise ValueError("the loss or its gradient is not finite")
                 adam_step(state, model.parameters(), model.backward(report.grad_y))

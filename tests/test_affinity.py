@@ -77,7 +77,9 @@ def test_cosine_conditionals_ignore_per_row_scale(seed, n, dim):
 def test_conditionals_of_rows_consistency(spec):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(9, 3))
-    a, q, c = _conditionals_of_rows(*_prepared_rows(x, spec), spec)
+    out, q_out = np.full((2, 81), np.nan)
+    [(cs, a, q, c)] = _conditionals_of_rows(*_prepared_rows(x, spec), spec, out, q_out)  # 9 rows: one block
+    assert cs == slice(0, 9) and np.shares_memory(a, out) and np.shares_memory(q, q_out)
     assert np.all(np.diag(a) == 0.0)
     assert np.array_equal(q, conditional_probabilities(x, spec))
     if spec.family == COSINE:

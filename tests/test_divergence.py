@@ -11,8 +11,9 @@ from pkt import (
     kl_loss,
     pkt_loss_and_grad,
 )
-from pkt.divergence import LOSS_BUFFERS, Q_FLOOR, _supervised_into
+from pkt.divergence import Q_FLOOR, _label_weights, _supervised_into
 from pkt.gradcheck import finite_difference, max_relative_error, random_conditionals
+from pkt.kernels import TILE, _column_blocks
 
 
 def two_slot_instance():
@@ -218,14 +219,17 @@ def supervised_into_oracle(p, labels, weight):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(2, 40), weight=st.floats(5e-324, 1e3), seed=st.integers(0, 2**32 - 1))
+@given(data=st.data(), n=st.integers(2, 2 * TILE + 3), weight=st.floats(5e-324, 1e3), seed=st.integers(0, 2**32 - 1))
 def test_supervised_targets_match_the_divide_based_oracle_bit_for_bit(data, n, weight, seed):
+    # the targets are built one block of conditioning columns at a time
     labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 5)))
     p = random_conditionals(np.random.default_rng(seed), n)
-    out = np.full((n, n), np.nan)
-    sum_t_log_t = _supervised_into(p, labels, weight, out)
+    inv, sum_t_log_t = _label_weights(labels, weight)
+    out, p_eff = np.full(n * TILE, np.nan), np.full((n, n), np.nan)
+    for cs in _column_blocks(n):
+        p_eff[:, cs] = _supervised_into(np.ascontiguousarray(p[:, cs]), labels, cs, inv, out)
     expected, expected_sum = supervised_into_oracle(p, labels, weight)
-    assert out.tobytes() == expected.tobytes()
+    assert p_eff.tobytes() == expected.tobytes()
     assert sum_t_log_t.hex() == expected_sum.hex()
 
 
@@ -275,46 +279,6 @@ def test_kl_loss_of_sparse_conditionals_matches_the_oracle_bit_for_bit(n):
     p[rng.random((n, n)) < 0.3] = 0.0
     q = random_conditionals(rng, n)
     assert kl_loss(p, q).hex() == kl_loss_oracle(p, q).hex()
-
-
-@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
-@pytest.mark.parametrize("weight", [None, 0.3], ids=["plain", "sup"])
-@pytest.mark.parametrize("b", [24, 19], ids=["full", "tail"])
-def test_workspace_leaves_value_and_gradient_bit_identical(spec, weight, b):
-    big = 24  # the workspace is sized for 24 rows; a tail batch uses a prefix of each buffer
-    rng = np.random.default_rng(b)
-    y = rng.normal(size=(b, 3))
-    p = random_conditionals(rng, b)
-    sup = None if weight is None else (rng.integers(0, 3, size=b), weight)
-    workspace = [np.full(big * big, np.nan) for _ in range(LOSS_BUFFERS)]
-    fresh = pkt_loss_and_grad(y, p, spec, sup)
-    reused = pkt_loss_and_grad(y, p, spec, sup, workspace=workspace)
-    assert reused.value == fresh.value
-    assert reused.grad_y.tobytes() == fresh.grad_y.tobytes()
-    assert not any(np.shares_memory(reused.grad_y, buf) for buf in workspace)
-    again = pkt_loss_and_grad(y, p, spec, sup, workspace=workspace)  # stale contents are overwritten
-    assert again.value == fresh.value and again.grad_y.tobytes() == fresh.grad_y.tobytes()
-    q = conditional_probabilities(y, spec)
-    expected = kl_loss(p, q)
-    if sup is not None:
-        expected += weight * kl_loss(supervised_targets_oracle(sup[0]), q)
-    assert np.min(q[~np.eye(b, dtype=bool)]) > Q_FLOOR  # the Gaussian value does not clamp; kl_loss would
-    assert fresh.value == pytest.approx(expected, rel=1e-12)
-
-
-def test_workspace_validation():
-    rng = np.random.default_rng(3)
-    y = rng.normal(size=(5, 2))
-    p = random_conditionals(rng, 5)
-    good = [np.empty(25) for _ in range(LOSS_BUFFERS)]
-    with pytest.raises(ValueError, match="needs 4 buffers"):
-        pkt_loss_and_grad(y, p, cosine_kernel(), workspace=good[:3])
-    with pytest.raises(ValueError, match="at least 25 entries"):
-        pkt_loss_and_grad(y, p, cosine_kernel(), workspace=[np.empty(24)] + good[1:])
-    with pytest.raises(ValueError, match="at least 25 entries"):
-        pkt_loss_and_grad(y, p, cosine_kernel(), workspace=[np.empty(25, dtype=np.float32)] + good[1:])
-    with pytest.raises(ValueError, match="share memory"):
-        pkt_loss_and_grad(y, p, cosine_kernel(), workspace=[p.ravel()] + good[1:])
 
 
 def dense_gaussian_reference(y, p, width, sup=None):

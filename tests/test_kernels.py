@@ -97,10 +97,12 @@ def test_logits_of_rows_are_the_clipped_distances_over_the_width_to_rounding(wid
     rng = np.random.default_rng(n)
     x = 3.0 * rng.normal(size=(n, dim))
     stats = np.einsum("ij,ij->i", x, x)
-    out = np.full((n, n), np.nan)
-    logits = _logits_of_rows(x, stats, width, out=out)
-    assert np.shares_memory(logits, out) and logits.shape == (n, n)
-    assert logits.tobytes() == _logits_of_rows(x, stats, width).tobytes()
+    logits, again = np.full((2, n, n), np.nan)
+    for full, buf in [(logits, np.full(n * TILE, np.nan)), (again, np.empty(n * TILE))]:
+        for cs, block in _logits_of_rows(x, stats, width, buf):
+            assert np.shares_memory(block, buf) and block.shape == (n, cs.stop - cs.start)
+            full[:, cs] = block
+    assert logits.tobytes() == again.tobytes()
     d2 = np.array([np.sum((x - row) ** 2, axis=1) for row in x])
     # both the product of augmented rows and the Gram product of wider rows
     # cancel s_i + s_j against 2 x_i . x_j, so an entry is off by a few

@@ -1,6 +1,7 @@
 """Source hygiene of the ``pkt`` package, read with ``ast``: no relative
-import that its module never uses, and no private function that no code
-of the package calls (code that only tests use belongs in the tests)."""
+import that its module never uses, no private function that no code of
+the package calls (code that only tests use belongs in the tests), and
+no module-level constant that no code of the package reads."""
 
 import ast
 from pathlib import Path
@@ -16,7 +17,7 @@ def read_names(tree):
     """Names a module reads as bare names or lists in ``__all__``."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             names.update(ast.literal_eval(node.value))
@@ -51,3 +52,15 @@ def test_every_private_function_has_a_caller():
                 and node.name.startswith("_") and not node.name.startswith("__")
                 and node.name not in referenced]
     assert uncalled == []
+
+
+def test_every_module_constant_is_read():
+    read = set()
+    for tree in TREES.values():
+        read |= read_names(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    constants = [(module, target.id) for module, tree in TREES.items() for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()]
+    assert constants
+    assert [f"{module}.{name}" for module, name in constants if name not in read] == []

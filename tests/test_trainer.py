@@ -22,7 +22,8 @@ from pkt import (
     train,
 )
 from pkt.kernels import TILE
-from pkt.trainer import _teacher_conditionals, _teacher_row_stats
+from pkt.divergence import _block_buffers
+from pkt.trainer import _teacher_blocks, _teacher_row_stats
 
 
 def small_problem(seed=0, n=100, d_in=6, d_t=5):
@@ -151,21 +152,52 @@ def test_default_config_used_when_omitted():
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(3.0)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_cached_teacher_conditionals_match_public_ones(spec, order):
-    # row statistics computed once per run must give the very bits the
-    # public function computes from the gathered batch
-    for n, batch in [(50, 16), (2 * TILE + 60, TILE + 20)]:  # the second spans two tiles
+    # row statistics computed once per run must give, block by block, the
+    # very bits the public function computes from the gathered batch
+    for n, batch in [(60, 50), (2 * TILE + 60, TILE + 20)]:  # the second spans two column blocks
         _, teacher, _ = small_problem(n=n, d_t=7)
         teacher = np.asarray(teacher, order=order)
         stats = _teacher_row_stats(teacher, spec, block=batch)
-        out, scratch = np.full(batch * batch, np.nan), np.full(batch * batch, np.nan)
-        for idx in sample_batch(n, batch, 0, 0):  # the last batch is shorter, written into a prefix of the buffer
+        bufs = _block_buffers(batch)
+        bufs.fill(np.nan)
+        for idx in sample_batch(n, batch, 0, 0):  # the last batch is shorter, written into a prefix of the buffers
             b = idx.size
-            cached, p_log_p = _teacher_conditionals(teacher, stats, idx, spec, out=out[: b * b].reshape(b, b),
-                                                    scratch=scratch[: b * b].reshape(b, b))
+            cached, p_log_p = np.full((b, b), np.nan), 0.0
+            for cs, p, part in _teacher_blocks(teacher, stats, idx, spec, bufs):
+                assert np.shares_memory(p, bufs[0])
+                cached[:, cs] = p
+                p_log_p += part
             public = conditional_probabilities(teacher[idx], spec)
             assert cached.tobytes() == public.tobytes()
             off = ~np.eye(b, dtype=bool)
             assert p_log_p == pytest.approx(np.sum(public[off] * np.log(public[off])), rel=1e-12)
+
+
+@pytest.mark.parametrize("specs", [(cosine_kernel(), cosine_kernel()), (gaussian_kernel(3.0), gaussian_kernel(2.0))],
+                         ids=["cosine", "gaussian"])
+@pytest.mark.parametrize("sup_weight", [0.0, 0.5], ids=["plain", "sup"])
+def test_a_batch_of_several_column_blocks_matches_the_public_loss(monkeypatch, specs, sup_weight):
+    # B = 2 * TILE + 3 runs two full blocks of conditioning columns and one of 3
+    batch = 2 * TILE + 3
+    raw, teacher, labels = small_problem(n=batch, d_t=7)
+    real, seen = pkt.trainer._batch_loss, []
+
+    def recording(y, *args):
+        report = real(y, *args)
+        seen.append((y.copy(), report))
+        return report
+
+    monkeypatch.setattr(pkt.trainer, "_batch_loss", recording)
+    cfg = TrainConfig(epochs=2, batch_size=batch, lr=1e-3, seed=6, teacher_spec=specs[0], student_spec=specs[1],
+                      sup_weight=sup_weight)
+    train(init_student([6, 4], seed=0), raw, teacher, labels, cfg)
+    assert len(seen) == 2
+    for epoch, (y, report) in enumerate(seen):
+        [idx] = sample_batch(batch, batch, cfg.seed, epoch)
+        sup = (labels[idx], sup_weight) if sup_weight > 0 else None
+        public = pkt_loss_and_grad(y, conditional_probabilities(teacher[idx], specs[0]), specs[1], sup)
+        assert report.value == pytest.approx(public.value, rel=1e-12)
+        assert np.max(np.abs(report.grad_y - public.grad_y)) <= 1e-12 * np.max(np.abs(public.grad_y))
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(3.0)])
@@ -186,6 +218,17 @@ def test_non_finite_teacher_rejected_before_any_step(bad):
     before = [p.copy() for p in model.parameters()]
     with pytest.raises(ValueError, match="non-finite"):
         train(model, raw, teacher, cfg=TrainConfig(epochs=2, batch_size=10, lr=1e-2))
+    assert all(np.array_equal(p, b) for p, b in zip(model.parameters(), before))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_raw_inputs_rejected_before_any_step(bad):
+    raw, teacher, _ = small_problem(n=60)
+    raw[-1, 5] = bad  # a row that no early batch needs
+    model = init_student([6, 4], seed=0)
+    before = [p.copy() for p in model.parameters()]
+    with pytest.raises(ValueError, match="^raw inputs contain non-finite entries$"):
+        train(model, raw, teacher, cfg=TrainConfig(batch_size=10, lr=1e-2))
     assert all(np.array_equal(p, b) for p, b in zip(model.parameters(), before))
 
 
@@ -231,7 +274,7 @@ def test_training_holds_no_copy_of_the_teacher():
 
 
 def test_non_finite_loss_or_gradient_stops_the_run_before_the_step(monkeypatch):
-    real, calls = pkt.trainer.pkt_loss_and_grad, []
+    real, calls = pkt.trainer._batch_loss, []
 
     def poisoned(*args, **kwargs):
         report = real(*args, **kwargs)
@@ -240,7 +283,7 @@ def test_non_finite_loss_or_gradient_stops_the_run_before_the_step(monkeypatch):
             report.grad_y[0, 0] = np.nan
         return report
 
-    monkeypatch.setattr(pkt.trainer, "pkt_loss_and_grad", poisoned)
+    monkeypatch.setattr(pkt.trainer, "_batch_loss", poisoned)
     raw, teacher, _ = small_problem()
     model = init_student([6, 4], seed=0)
     with pytest.raises(ValueError, match=r"^epoch 0 batch 2: the loss or its gradient is not finite$") as info:
@@ -248,8 +291,7 @@ def test_non_finite_loss_or_gradient_stops_the_run_before_the_step(monkeypatch):
     assert [(e.epoch, e.batch) for e in info.value.trace] == [(0, 0), (0, 1)]
     assert all(np.all(np.isfinite(p)) for p in model.parameters())
 
-    monkeypatch.setattr(pkt.trainer, "pkt_loss_and_grad",
-                        lambda *a, **k: dataclasses.replace(real(*a, **k), value=np.inf))
+    monkeypatch.setattr(pkt.trainer, "_batch_loss", lambda *a: dataclasses.replace(real(*a), value=np.inf))
     with pytest.raises(ValueError, match=r"^epoch 0 batch 0: the loss or its gradient is not finite$"):
         train(init_student([6, 4], seed=0), raw, teacher, cfg=TrainConfig(batch_size=20))
 
@@ -260,14 +302,15 @@ def test_non_finite_loss_or_gradient_stops_the_run_before_the_step(monkeypatch):
 # in-process count would depend on which tests ran first.
 FAULTS_PER_BATCH = """
 import resource
+import sys
 import numpy as np
 from pkt import TrainConfig, gaussian_kernel, init_student, train
 
-batch = 512
+batch, width = 512, int(sys.argv[1])
 rng = np.random.default_rng(0)
-raw, teacher = rng.normal(size=(10 * batch, 8)), rng.normal(size=(10 * batch, 16))
+raw, teacher = rng.normal(size=(10 * batch, 8)), rng.normal(size=(10 * batch, width))
 labels = rng.integers(0, 10, size=10 * batch)
-cfg = TrainConfig(batch_size=batch, lr=1e-3, teacher_spec=gaussian_kernel(32.0),
+cfg = TrainConfig(batch_size=batch, lr=1e-3, teacher_spec=gaussian_kernel(2.0 * width),
                   student_spec=gaussian_kernel(8.0), sup_weight=0.5)
 
 def minor_faults(batches):
@@ -282,11 +325,42 @@ print((minor_faults(10) - minor_faults(2)) / 8)
 """
 
 
-def test_gaussian_batches_take_no_fresh_pages():
-    # Every B x B array lives in one workspace per run, so a batch touches
-    # no page that an earlier batch of the run has not.  A freshly mapped
-    # B x B temporary costs 512 minor faults.
+def run_fresh(script, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(pkt.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_BATCH], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    assert float(proc.stdout) <= 200
+    return float(proc.stdout)
+
+
+@pytest.mark.parametrize("teacher_width", [16, 64, 2048])
+def test_gaussian_batches_take_no_fresh_pages(teacher_width):
+    # The blocks a batch works in are allocated once per run, so a batch
+    # touches no page that an earlier batch of the run has not.  A freshly
+    # mapped B x B temporary costs 512 minor faults.
+    assert run_fresh(FAULTS_PER_BATCH, teacher_width) <= 200
+
+
+# Growth of the peak resident memory, in MB, over one Gaussian + supervised
+# run of 3 batches at B = 2048, in a fresh interpreter whose peak before
+# the run is its resident memory then.
+PEAK_GROWTH_MB = """
+import resource
+import numpy as np
+from pkt import TrainConfig, gaussian_kernel, init_student, train
+
+batch = 2048
+rng = np.random.default_rng(0)
+raw, teacher = rng.normal(size=(3 * batch, 8)), rng.normal(size=(3 * batch, 64))
+labels = rng.integers(0, 10, size=3 * batch)
+cfg = TrainConfig(batch_size=batch, lr=1e-3, teacher_spec=gaussian_kernel(64.0),
+                  student_spec=gaussian_kernel(8.0), sup_weight=0.5)
+model = init_student([8, 4], seed=0)
+np.ones((batch, 66)) @ np.ones((66, 128))  # BLAS sets up its buffers before the count
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+train(model, raw, teacher, labels, cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_a_large_gaussian_batch_holds_no_b_by_b_array():
+    assert run_fresh(PEAK_GROWTH_MB) < 2048 * 2048 * 8 / 2**20
