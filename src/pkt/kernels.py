@@ -123,16 +123,15 @@ def _upper_tiles(n: int, height: int = TILE, width: int = TILE) -> Iterator[tupl
             yield rs, slice(c_lo, min(c_lo + width, n))
 
 
-def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, *,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix from :func:`_prepared_rows` and their statistics, written into ``out``.
+def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Kernel matrix from :func:`_prepared_rows` and their statistics.
 
-    ``out`` is a new array when None.  Each upper tile is computed in
-    place and copied, transposed, into its mirror; a diagonal tile's Gram
-    product ``a @ a.T`` is exactly symmetric, so the matrix is too.
+    Each upper tile is computed in place and copied, transposed, into its
+    mirror; a diagonal tile's Gram product ``a @ a.T`` is exactly
+    symmetric, so the matrix is too.
     """
     n = rows.shape[0]
-    out = np.empty((n, n)) if out is None else out
+    out = np.empty((n, n))
     gram = np.empty(min(n, TILE) ** 2)
     for rs, cs in _upper_tiles(n):
         tile = _kernel_of_gram(_gram_tile(rows, rows, rs, cs, gram), stats[rs], stats[cs], spec, out=out[rs, cs])

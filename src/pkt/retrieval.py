@@ -6,14 +6,15 @@ item have undefined AP; they are excluded from every mean and counted
 in the result.
 
 ``evaluate`` normalizes the database and the queries once and scores
-``QUERY_BLOCK`` queries per matrix product, so it needs
-O(QUERY_BLOCK * N) memory for N database rows, never a queries x N
-matrix.  AP and top-k need only the rank of each relevant item, so
-``evaluate`` gathers a block's hit keys, sorts its keys in place and
-finds each hit's rank by binary search; only a row with a tie or a
-signed-zero pair is arg-sorted, stably, from its recomputed keys.
-``average_precision_11pt`` scores one ranked list, with the same AP code
-as ``evaluate``.  Features must be finite.
+``QUERY_BLOCK`` queries per matrix product.  AP and top-k need only the
+rank of each relevant item, so each row's hit keys are gathered, the
+row is sorted in place and each hit's rank found by binary search; only
+a row with a tie or a signed-zero pair is arg-sorted, stably, from its
+recomputed keys.  So for N database rows ``evaluate`` holds the unit
+rows, one QUERY_BLOCK x N block of keys and one of hit ranks, whatever
+the hit count, never a queries x N matrix.  ``average_precision_11pt``
+scores one ranked list, with the same AP code as ``evaluate``.  Features
+must be finite.
 """
 
 from __future__ import annotations
@@ -61,63 +62,56 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / _safe_norms(x)[:, None]
 
 
-def _strictly_increasing(sorted_keys: np.ndarray) -> np.ndarray:
-    """Per row of ascending keys, whether no two are equal and none is NaN: the order is then the only one."""
-    return np.all(sorted_keys[:, 1:] > sorted_keys[:, :-1], axis=1)
-
-
 def _hit_ranks(queries: np.ndarray, db: np.ndarray, relevant: np.ndarray, n_rel: np.ndarray,
                keys: np.ndarray, out: np.ndarray) -> np.ndarray:
     """0-based rank of each relevant item in the stable ascending order of its row of ``queries @ db.T``.
 
-    The keys go into ``keys``, sorted there row by row once the hit keys
-    are gathered.  A row of strictly increasing sorted keys has one order,
-    so a hit's rank is the position of its key there; any other row is
-    arg-sorted stably from its keys recomputed by the same product on the
-    same operands, bit for bit.  The ranks fill the flat ``out`` row after
-    row, ascending within a row; the filled prefix is returned.
+    The keys go into ``keys``, and each row is sorted there once its hit
+    keys are gathered.  A row of strictly increasing sorted keys has one
+    order, so a hit's rank is the position of its key there; any other row
+    is arg-sorted stably from its keys recomputed by the same product on
+    the same operands, bit for bit.  The ranks fill the flat ``out`` row
+    after row, ascending within a row; the filled prefix is returned.
     """
-    hit_keys = np.matmul(queries, db.T, out=keys)[relevant]  # row after row
-    keys.sort(axis=1)
-    sure = _strictly_increasing(keys)
+    np.matmul(queries, db.T, out=keys)
     ends = np.cumsum(n_rel)  # every relevant item is a hit
-    spans = [slice(end - count, end) for end, count in zip(ends.tolist(), n_rel.tolist())]
-    for i in np.flatnonzero(sure).tolist():
-        out[spans[i]] = np.searchsorted(keys[i], np.sort(hit_keys[spans[i]]))
-    if not sure.all():
+    ranks = out[: ends[-1]]
+    unsure = []
+    for i, (row, end, count) in enumerate(zip(keys, ends.tolist(), n_rel.tolist())):
+        hit_keys = np.sort(row[relevant[i]])
+        row.sort()
+        if (row[1:] > row[:-1]).all():  # no tie and no NaN
+            ranks[end - count : end] = row.searchsorted(hit_keys)
+        else:
+            unsure.append((i, slice(end - count, end)))
+    if unsure:
         np.matmul(queries, db.T, out=keys)
-        for i in np.flatnonzero(~sure).tolist():
-            out[spans[i]] = np.flatnonzero(relevant[i][np.argsort(keys[i], kind="stable")])
-    return out[: ends[-1]]
+        for i, span in unsure:
+            ranks[span] = np.flatnonzero(relevant[i][np.argsort(keys[i], kind="stable")])
+    return ranks
 
 
-def _ap_11pt_rows(rows: np.ndarray, ranks: np.ndarray, n_rel: np.ndarray) -> np.ndarray:
+def _ap_11pt_rows(ranks: np.ndarray, n_hits: np.ndarray, n_rel: np.ndarray, precision: np.ndarray) -> np.ndarray:
     """:func:`average_precision_11pt` of each ranked list, from its hits alone.
 
-    Hit h lies in list ``rows[h]`` at 0-based rank ``ranks[h]``; rows
-    ascend, and ranks ascend within a row.  ``n_rel`` holds each list's
-    relevant total.  The cutoffs reaching a recall level are those from
-    the k-th hit on, for the least k with ``10 * k >= level * n_rel``,
-    and between hits precision only falls, so the best precision over
-    them is the suffix maximum of ``k / rank of the k-th hit`` taken
-    from that k; a level whose k exceeds the row's hit count is never
-    reached and adds 0.
+    List i's ``n_hits[i] >= 1`` hits are the next entries of ``ranks``, in
+    ascending 0-based rank, of ``n_rel[i]`` relevant items; the k-th hit's
+    precision ``k / (rank + 1)`` goes into the float array ``precision``,
+    as long as ``ranks``.  A recall level is reached from the k-th hit on,
+    for the least k >= 1 with ``10 * k >= level * n_rel``, and precision
+    only falls between hits, so the level's best precision is the maximum
+    over the hits from the k-th on; a level whose k exceeds the hit count
+    adds 0.
     """
-    n_hits = np.bincount(rows, minlength=n_rel.size)
-    width = int(n_hits.max(initial=0))
-    total = np.zeros(n_rel.size)
-    if width == 0:
-        return total
-    nth_hit = np.arange(1, rows.size + 1) - (np.cumsum(n_hits) - n_hits)[rows]
-    best = np.zeros((n_rel.size, width))
-    best[rows, nth_hit - 1] = nth_hit / (ranks + 1)
+    starts = np.cumsum(n_hits) - n_hits
+    for start, count in zip(starts.tolist(), n_hits.tolist()):
+        np.divide(np.arange(1, count + 1), ranks[start : start + count] + 1, out=precision[start : start + count])
+    nth = np.maximum((np.arange(11) * n_rel[:, None] + 9) // 10, 1)  # the k of each level
+    cuts = starts[:, None] + np.minimum(nth, n_hits[:, None]) - 1
+    best = np.maximum.reduceat(precision, cuts.ravel()).reshape(cuts.shape)  # from each cut to the next
     best = np.maximum.accumulate(best[:, ::-1], axis=1)[:, ::-1]
-    first = np.searchsorted(10 * np.arange(1, width + 1), np.arange(11) * n_rel[:, None])
-    at_first = np.take_along_axis(best, np.minimum(first, width - 1), axis=1)
-    at_first[first >= n_hits[:, None]] = 0.0  # levels never reached
-    for level in range(11):  # sequential, in level order
-        total += at_first[:, level]
-    return total / 11.0
+    best[nth > n_hits[:, None]] = 0.0  # levels never reached
+    return np.cumsum(best, axis=1)[:, -1] / 11.0  # summed in level order
 
 
 def average_precision_11pt(ranked_relevance, n_relevant_total: int) -> float:
@@ -126,15 +120,20 @@ def average_precision_11pt(ranked_relevance, n_relevant_total: int) -> float:
 
     Levels never reached contribute 0.  Recall comparisons are done in
     integer arithmetic (10 * hits >= level * total), so no level is lost
-    to rounding.
+    to rounding.  The relevance list must be 1-D and the total an integer.
     """
     rel = np.asarray(ranked_relevance, dtype=bool)
-    if n_relevant_total < 1:
-        raise ValueError("n_relevant_total must be at least 1")
+    if rel.ndim != 1:
+        raise ValueError("relevance list must be 1-D")
+    if not isinstance(n_relevant_total, (int, np.integer)) or n_relevant_total < 1:
+        raise ValueError(f"n_relevant_total {n_relevant_total!r} is not an integer of at least 1")
     ranks = np.flatnonzero(rel)
     if ranks.size > n_relevant_total:
         raise ValueError("relevance list contains more hits than n_relevant_total")
-    return float(_ap_11pt_rows(np.zeros_like(ranks), ranks, np.array([n_relevant_total]))[0])
+    if ranks.size == 0:
+        return 0.0
+    n_rel = np.array([n_relevant_total], dtype=np.intp)
+    return float(_ap_11pt_rows(ranks, np.array([ranks.size]), n_rel, np.empty(ranks.size))[0])
 
 
 def evaluate(
@@ -180,11 +179,11 @@ def evaluate(
         relevant, n_rel = relevant[kept], n_rel[kept]
         ranks = _hit_ranks(neg_queries[lo : lo + QUERY_BLOCK][kept], db_unit, relevant, n_rel,
                            keys_buf[: relevant.size].reshape(relevant.shape), ranks_buf)
-        rows = np.repeat(np.arange(n_rel.size), n_rel)  # every relevant item is a hit
-        aps.extend(_ap_11pt_rows(rows, ranks, n_rel).tolist())
-        for k in ks:
-            for precision in (np.bincount(rows[ranks < k], minlength=n_rel.size) / k).tolist():  # query order
-                topk_sums[k] += precision
+        aps.extend(_ap_11pt_rows(ranks, n_rel, n_rel, keys_buf[: ranks.size]).tolist())  # the keys are spent
+        ends = np.cumsum(n_rel).tolist()
+        for start, end in zip([0, *ends[:-1]], ends):  # query order
+            for k, count in zip(ks, ranks[start:end].searchsorted(ks).tolist()):
+                topk_sums[k] += count / k
 
     if not aps:
         log.error("every query was skipped: no query label occurs in the database")

@@ -74,16 +74,20 @@ def test_equality_check_holds_three_tiles(n, family):
     assert peak <= 2 * teacher.nbytes + 3 * BLOCK * TILE * 8 + 256 * 1024
 
 
-def test_evaluate_holds_one_key_block():
+@pytest.mark.parametrize("classes", [10, 2, 1])
+def test_evaluate_holds_one_key_block(classes):
+    # with one class every database row is a hit of every query
+    index = RetrievalIndex(FEATS, LABELS % classes)
     tracemalloc.start()
     try:
-        CALLS["evaluate"]()
+        evaluate(index, QUERIES, QUERY_LABELS % classes, [10])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the unit rows of the database and the queries, one QUERY_BLOCK x N
-    # block of keys and one of hit ranks, and one more block's bytes for the
-    # relevance masks, the gathered hit keys and the AP work arrays
+    # block of keys, which then holds the hits' precisions, and one of hit
+    # ranks, and one more block's bytes for the relevance masks and the
+    # per-row and per-level work arrays, whatever the hit count
     block = QUERY_BLOCK * N * 8
     assert peak <= FEATS.nbytes + QUERIES.nbytes + 3 * block
 

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pkt.retrieval
 from pkt import (
     RetrievalIndex,
     average_precision_11pt,
@@ -27,9 +29,13 @@ def rank(index, query):
 
 
 def naive_ap(rel, n_rel):
-    """Independent 11-point AP: for each recall tenth, scan every cutoff."""
+    """Independent 11-point AP: for each recall tenth, scan every cutoff.
+
+    The levels are summed in order, as the package sums them, so the
+    result is exact: the same bits, not only the same value to rounding.
+    """
     rel = [bool(r) for r in rel]
-    best_at = []
+    total = 0.0
     for level in range(11):
         needed = level * n_rel  # compare 10 * hits >= level * n_rel
         best = 0.0
@@ -38,8 +44,8 @@ def naive_ap(rel, n_rel):
             hits += int(r)
             if 10 * hits >= needed:
                 best = max(best, hits / t)
-        best_at.append(best)
-    return math.fsum(best_at) / 11.0
+        total += best
+    return total / 11.0
 
 
 def test_ap_hand_cases():
@@ -55,17 +61,18 @@ def test_ap_degenerate_cases():
     assert average_precision_11pt([], 2) == 0.0
 
 
-def test_ap_matches_naive_scan():
-    rng = np.random.default_rng(61)
-    for _ in range(50):
-        size = int(rng.integers(1, 30))
-        rel = rng.random(size) < 0.3
-        n_rel = int(rel.sum() + rng.integers(0, 3))
-        if n_rel == 0:
-            continue
-        assert average_precision_11pt(rel, n_rel) == pytest.approx(
-            naive_ap(rel, n_rel), abs=1e-12
-        )
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 400), share=st.floats(0.0, 1.0),
+       missing=st.integers(0, 50))
+def test_ap_matches_naive_scan(seed, size, share, missing):
+    # bit for bit; ``missing`` relevant items lie beyond the list, so high
+    # recall levels may never be reached
+    rel = np.random.default_rng(seed).random(size) < share
+    n_rel = int(rel.sum()) + missing
+    if n_rel == 0:
+        return
+    assert average_precision_11pt(rel, n_rel) == naive_ap(rel, n_rel)
+    assert average_precision_11pt(rel.tolist(), np.int64(n_rel)) == naive_ap(rel, n_rel)
 
 
 def test_ap_validation():
@@ -73,6 +80,18 @@ def test_ap_validation():
         average_precision_11pt([1, 0], 0)
     with pytest.raises(ValueError):
         average_precision_11pt([1, 1, 1], 2)
+
+
+def test_ap_rejects_a_relevance_list_that_is_not_1d():
+    for bad in ([[1, 0], [0, 1]], 1, np.ones((3, 1))):
+        with pytest.raises(ValueError, match="relevance list must be 1-D"):
+            average_precision_11pt(bad, 2)
+
+
+@pytest.mark.parametrize("total", [2.5, 2.0, "2", None])
+def test_ap_rejects_a_relevant_total_that_is_not_an_integer(total):
+    with pytest.raises(ValueError, match="n_relevant_total"):
+        average_precision_11pt([1, 0, 1], total)
 
 
 def test_rank_uses_cosine_not_magnitude():
@@ -258,16 +277,17 @@ def test_exact_ties_follow_the_stable_order(case):
         assert result.top_k[k] == total / len(kept)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), n_db=st.integers(1, 11),
-       distinct=st.booleans(), n_q=st.integers(QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 20), classes=st.integers(1, 3))
-def test_evaluate_equals_the_ranked_oracle_exactly(seed, dim, n_db, distinct, n_q, classes):
-    # Each database row is a scaled +-e_k or a zero row, with +-0.0 in its
-    # other entries, so every cosine is exactly a query coordinate or a
-    # zero, whatever the product's summation order.  Directions drawn
-    # without repeats and queries without zero coordinates give rows of
-    # distinct keys; a repeated direction, a zeroed query coordinate or a
-    # zero query gives tied ones, so sure and unsure rows share a block.
+def exact_cosine_case(seed, dim, n_db, distinct, n_q, classes):
+    """Database, queries, labels and ks whose every cosine is exact.
+
+    Each database row is a scaled +-e_k or a zero row, with +-0.0 in its
+    other entries, so every cosine is exactly a query coordinate or a
+    zero, whatever the product's summation order.  Directions drawn
+    without repeats and queries without zero coordinates give rows of
+    distinct keys; a repeated direction, a zeroed query coordinate or a
+    zero query gives tied ones, so sure and unsure rows share a block.
+    Query label ``classes`` occurs in no database row.
+    """
     rng = np.random.default_rng(seed)
     if distinct:
         n_db = min(n_db, 2 * dim + 1)
@@ -282,18 +302,20 @@ def test_evaluate_equals_the_ranked_oracle_exactly(seed, dim, n_db, distinct, n_
     queries[rng.random(n_q) < 0.05] = 0.0
     db_labels, q_labels = rng.integers(0, classes, size=n_db), rng.integers(0, classes + 1, size=n_q)
     ks = [*rng.integers(1, n_db + 1, size=2).tolist(), n_db]
-    index = RetrievalIndex(db, db_labels)
-    result = evaluate(index, queries, q_labels, ks)
+    return RetrievalIndex(db, db_labels), queries, q_labels, ks
 
+
+def assert_equals_the_ranked_oracle(result, index, queries, q_labels, ks):
+    """``result`` is, bit for bit, the naive AP and top-k of each query's ``rank`` order, in query order."""
     aps, kept = [], []
     for q, lab in zip(queries, q_labels):
-        n_rel = int(np.count_nonzero(db_labels == lab))
+        n_rel = int(np.count_nonzero(index.db_labels == lab))
         if n_rel:
-            rel = db_labels[rank(index, q)] == lab
-            aps.append(average_precision_11pt(rel, n_rel))
+            rel = index.db_labels[rank(index, q)] == lab
+            aps.append(naive_ap(rel, n_rel))
             kept.append(rel)
     assert result.per_query_ap == aps
-    assert result.n_skipped == n_q - len(aps)
+    assert result.n_skipped == len(queries) - len(aps)
     if not aps:
         assert math.isnan(result.map)
         return
@@ -304,6 +326,29 @@ def test_evaluate_equals_the_ranked_oracle_exactly(seed, dim, n_db, distinct, n_
         for rel in kept:  # in query order
             total += float(rel[:k].sum()) / k
         assert result.top_k[k] == total / len(aps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), n_db=st.integers(1, 11),
+       distinct=st.booleans(), n_q=st.integers(QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 20), classes=st.integers(1, 3))
+def test_evaluate_equals_the_ranked_oracle_exactly(seed, dim, n_db, distinct, n_q, classes):
+    index, queries, q_labels, ks = exact_cosine_case(seed, dim, n_db, distinct, n_q, classes)
+    assert_equals_the_ranked_oracle(evaluate(index, queries, q_labels, ks), index, queries, q_labels, ks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), n_db=st.integers(1, 11),
+       distinct=st.booleans(), block=st.integers(1, 7), n_q=st.integers(1, 40), classes=st.integers(1, 3))
+def test_evaluate_in_small_query_blocks_equals_the_ranked_oracle_exactly(seed, dim, n_db, distinct, block,
+                                                                         n_q, classes):
+    # With one class every database row is a hit of every kept query; the
+    # first block's queries carry a label of no database row, so it is
+    # skipped whole.
+    index, queries, q_labels, ks = exact_cosine_case(seed, dim, n_db, distinct, n_q, classes)
+    q_labels[:block] = classes
+    with mock.patch.object(pkt.retrieval, "QUERY_BLOCK", block):
+        result = evaluate(index, queries, q_labels, ks)
+    assert_equals_the_ranked_oracle(result, index, queries, q_labels, ks)
 
 
 def test_rank_is_stable_among_tied_rows():

@@ -64,3 +64,36 @@ def test_every_module_constant_is_read():
                  if isinstance(target, ast.Name) and target.id.isupper()]
     assert constants
     assert [f"{module}.{name}" for module, name in constants if name not in read] == []
+
+
+def test_every_default_of_a_private_function_is_set_by_some_call():
+    # A keyword argument sets its parameter, and so does a positional one
+    # at the parameter's place or a ``*args`` before it; a ``*args`` never
+    # sets a keyword-only parameter.
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def is_set(call, name, place):
+        if any(keyword.arg == name for keyword in call.keywords):
+            return True
+        if place is None:
+            return False
+        return len(call.args) > place or any(isinstance(arg, ast.Starred) for arg in call.args[: place + 1])
+
+    never_set = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            defaulted = [(arg.arg, place) for place, arg in enumerate(positional)
+                         if place >= len(positional) - len(node.args.defaults)]
+            defaulted += [(arg.arg, None) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if default is not None]
+            never_set += [f"{module}.{node.name}({name}=)" for name, place in defaulted
+                          if not any(is_set(call, name, place) for call in calls.get(node.name, []))]
+    assert never_set == []
