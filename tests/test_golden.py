@@ -43,12 +43,21 @@ import pytest
 from pkt import (TrainConfig, cosine_kernel, gaussian_kernel, init_student, save_model, train, write_features,
                  write_labels)
 from pkt.cli import main
+from pkt.kernels import AUGMENTED_MAX_DIM, TILE
+
+# 70 rows at batch 16 leave a 6-row tail batch in every epoch
+ONE_BLOCK = dict(rows=70, teacher_dim=9, batch_size=16, epochs=3)
+# a batch of 2 * TILE + 3 rows spans three column blocks, the last of 3
+# columns, and each epoch drops a one-row tail
+BLOCKS = dict(rows=2 * (2 * TILE + 3) + 1, teacher_dim=9, batch_size=2 * TILE + 3, epochs=2)
 
 CASES = {
-    "cosine": dict(spec=cosine_kernel(), sup_weight=0.0, flags=[]),
-    "gaussian_sup": dict(spec=gaussian_kernel(6.0), sup_weight=0.5,
-                         flags=["--kernel", "gaussian", "--sigma-t", "6.0", "--sigma-s", "6.0",
-                                "--sup-weight", "0.5"]),
+    "cosine": dict(ONE_BLOCK, teacher=cosine_kernel(), student=cosine_kernel(), sup_weight=0.0),
+    "gaussian_sup": dict(ONE_BLOCK, teacher=gaussian_kernel(6.0), student=gaussian_kernel(6.0), sup_weight=0.5),
+    "cosine_blocks": dict(BLOCKS, teacher=cosine_kernel(), student=cosine_kernel(), sup_weight=0.0),
+    # the teacher is wider than AUGMENTED_MAX_DIM, so its logits come from the Gram product
+    "gaussian_wide_blocks": dict(BLOCKS, teacher_dim=AUGMENTED_MAX_DIM + 2, teacher=gaussian_kernel(64.0),
+                                 student=gaussian_kernel(6.0), sup_weight=0.5),
 }
 
 
@@ -71,12 +80,20 @@ GOLDEN = {
                    "losses": "abbf501b184f954f2c4da6909cb25ab142303210593606f3cd8c0e6a18612d12"},
         "gaussian_sup": {"parameters": "a9dd63db72efb26897ee671e390a249163ede81c97679e96ba0ebd4d9cb0dbb7",
                          "losses": "1c06037760e61d0d65b706059d8d5950c33384bf5e7548b58479bd6da4a6e256"},
+        "cosine_blocks": {"parameters": "7d70f0336a7ad44dfea87e170938b073d5e5ebf762f3a3d098efa1a6df6c8156",
+                          "losses": "f09507a42d2fccb56bb6b0be2a4b404ae9adb5b5c4334b3dcc5ccdd389f45ca0"},
+        "gaussian_wide_blocks": {"parameters": "f6c936d2dbb7445aa8d069f8039018749911e8057849b08b5e82a90b9b6d3c3e",
+                                 "losses": "528a357181965f3fab17a388c407d6ee7b9c679b7e5ec346e57c4a329dbe8e6a"},
     },
     "Haswell": {
         "cosine": {"parameters": "27b1c75cd9ff84bedb7ceaca97219ac971a35b6590bf675ed3b809bf1d0a6eb3",
                    "losses": "5e6fe41e85f3c7263cd2e2954cd9c0936d66491dd921976f6ad8a45c5725cf3b"},
         "gaussian_sup": {"parameters": "01970b3b140f6208f8c514d899d6fe4af914942bbb56dd21fe81a9e419111a14",
                          "losses": "ec2d5eb932776739bc4455c1eb6d9f78f1eab48d31f4621d18edec38ea8abb6b"},
+        "cosine_blocks": {"parameters": "00392e48e806cd8a1bd8e741fa0dc733b08b077fced4907fe8e5bfa10558e7b0",
+                          "losses": "b3012a4ccdc77880c57d07f7fa581bbc81f285b851ed642a946ebece8ada07fe"},
+        "gaussian_wide_blocks": {"parameters": "920139f3350ecdb2a5dc8a5d6dde658281ff5d675b8aa8bf3132e89a9a7a312d",
+                                 "losses": "ed3c0f17699467cfcc92a0641688ea157b487dda87a4cb3018cdab6531330884"},
     },
 }
 
@@ -88,24 +105,26 @@ def pinned(digests):
 
 
 def golden_digest(case, tmp_path):
-    rng = np.random.default_rng(21)
-    raw = rng.normal(size=(70, 7))
-    teacher = np.tanh(raw @ rng.normal(size=(7, 9)))
-    labels = rng.integers(0, 3, size=70)
     c = CASES[case]
-    # 70 rows at batch 16 leave a 6-row tail batch in every epoch
-    cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-2, seed=4, teacher_spec=c["spec"],
-                      student_spec=c["spec"], sup_weight=c["sup_weight"])
+    rng = np.random.default_rng(21)
+    raw = rng.normal(size=(c["rows"], 7))
+    teacher = np.tanh(raw @ rng.normal(size=(7, c["teacher_dim"])))
+    labels = rng.integers(0, 3, size=c["rows"])
+    cfg = TrainConfig(epochs=c["epochs"], batch_size=c["batch_size"], lr=1e-2, seed=4, teacher_spec=c["teacher"],
+                      student_spec=c["student"], sup_weight=c["sup_weight"])
     model, trace = train(init_student([7, 10, 6, 3], seed=2), raw, teacher,
                          labels if c["sup_weight"] > 0 else None, cfg)
 
     write_features(tmp_path / "raw.txt", raw)
     write_features(tmp_path / "teacher.txt", teacher)
     write_labels(tmp_path / "labels.txt", labels)
+    flags = ["--sup-weight", repr(c["sup_weight"])]
+    if c["student"].family == "gaussian":
+        flags += ["--kernel", "gaussian", "--sigma-t", repr(c["teacher"].width), "--sigma-s", repr(c["student"].width)]
     rc = main(["transfer", "--input", str(tmp_path / "raw.txt"), "--teacher", str(tmp_path / "teacher.txt"),
-               "--labels", str(tmp_path / "labels.txt"), "--arch", "10,6,3", "--epochs", "3",
-               "--batch-size", "16", "--lr", "1e-2", "--seed", "4", "--out", str(tmp_path / "model.txt"),
-               "--loss-log", str(tmp_path / "loss.txt"), *c["flags"]])
+               "--labels", str(tmp_path / "labels.txt"), "--arch", "10,6,3", "--epochs", str(c["epochs"]),
+               "--batch-size", str(c["batch_size"]), "--lr", "1e-2", "--seed", "4",
+               "--out", str(tmp_path / "model.txt"), "--loss-log", str(tmp_path / "loss.txt"), *flags])
     assert rc == 0
 
     parameters = hashlib.sha256()
@@ -219,7 +238,8 @@ def test_golden_digests_hold_under_the_haswell_kernel():
     if core != "Haswell":
         pytest.skip(f"OpenBLAS cannot run its Haswell kernel on this CPU (it picked {core or '(unknown)'})")
     assert proc.returncode == 0, report + proc.stderr
-    assert "5 passed" in report and "skipped" not in report, report
+    ran = len(CASES) + 1 + len(DENSE_QMI)  # the training digests, the analysis digests and the dense QMI values
+    assert f"{ran} passed" in report and "skipped" not in report, report
 
 
 if __name__ == "__main__":
