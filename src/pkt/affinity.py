@@ -18,15 +18,12 @@ is at least 1 and the conditionals are exact at any positive width.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Iterator
 
 import numpy as np
 
 from .kernels import (COSINE, LOGITS_OVERFLOW, TILE, KernelSpec, _column_blocks, _gram_tile, _kernel_of_gram,
                       _logits_of_rows, _prepared_rows)
-
-log = logging.getLogger(__name__)
 
 # A cosine conditioning column whose off-diagonal kernel mass falls below
 # this is geometrically degenerate (every partner at affinity ~0).
@@ -55,7 +52,8 @@ def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec,
     holds the logits less their column maxima, with zero self-pairs,
     ``c`` the log column sums of ``exp(a)`` off the self-pairs, and
     ``log q = a - c`` off them; ``q_out`` must be another array than
-    ``out``.  ``a`` and ``q`` are views at the start of the flat float
+    ``out``, and it holds a wide block's Gram product until ``q`` is
+    written.  ``a`` and ``q`` are views at the start of the flat float
     arrays ``out`` and ``q_out``, of at least N * min(N, TILE) entries
     each, which the next block overwrites.
     """
@@ -69,7 +67,7 @@ def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec,
                 raise ValueError("degenerate geometry: a conditioning slot has near-zero kernel mass")
             yield cs, a, np.divide(a, c[None, :], out=q_out[: a.size].reshape(a.shape)), c
         return
-    for cs, a in _logits_of_rows(rows, stats, spec.width, out):
+    for cs, a in _logits_of_rows(rows, stats, spec.width, out, q_out):
         # The largest off-diagonal logit of each column becomes 0, so its
         # exponentials sum to at least 1.  A maximum that is not finite
         # means that every squared distance of its column, divided by the
@@ -113,6 +111,5 @@ def sample_batch(n_total: int, batch_size: int, rng_seed: int, epoch: int) -> li
     perm = rng.permutation(n_total)
     chunks = [perm[i : i + batch_size] for i in range(0, n_total, batch_size)]
     if len(chunks[-1]) < 2:
-        log.debug("dropping tail batch of size %d in epoch %d", len(chunks[-1]), epoch)
         chunks.pop()
     return chunks

@@ -12,11 +12,11 @@ The Gaussian ``width`` is the *full* scale denominator::
     K(a, b) = exp(-||a - b||^2 / width)
 
 Callers pass one number; no squaring or doubling happens internally.
-The Gaussian core computes the logits ``-d^2 / width`` and then their
-exponential.  Gaussian conditionals start from logits, so they are
-normalized in the log domain and never underflow; those logits are
-symmetric only to rounding, while :func:`kernel_matrix` is symmetric
-bit for bit.
+One function turns a Gram product into the logits ``-d^2 / width``, and
+kernel values are their exponential.  Gaussian conditionals start from
+logits, so they are normalized in the log domain and never underflow;
+a batch's logits are symmetric only to rounding, while
+:func:`kernel_matrix` is symmetric bit for bit.
 """
 
 from __future__ import annotations
@@ -77,11 +77,19 @@ def _safe_norms(x: np.ndarray) -> np.ndarray:
 def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Full N x N kernel matrix of the rows of ``x``, self-pairs included, as a new array.
 
-    The result is exactly symmetric: the upper triangle is computed in
-    square tiles of side ``TILE`` and mirrored into the lower one, and
-    each diagonal tile's Gram product is itself exactly symmetric.
+    The result is exactly symmetric: each upper tile of side ``TILE`` is
+    computed in place and copied, transposed, into its mirror, and each
+    diagonal tile's Gram product ``a @ a.T`` is itself exactly symmetric.
     """
-    return _kernel_of_rows(*_prepared_rows(x, spec), spec)
+    rows, stats = _prepared_rows(x, spec)
+    n = rows.shape[0]
+    out = np.empty((n, n))
+    gram = np.empty(min(n, TILE) ** 2)
+    for rs, cs in _upper_tiles(n, TILE, TILE):
+        tile = _kernel_of_gram(_gram_tile(rows, rows, rs, cs, gram), stats[rs], stats[cs], spec, out=out[rs, cs])
+        if cs.start > rs.start:
+            out[cs, rs] = tile.T
+    return out
 
 
 def _prepared_rows(x: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +117,7 @@ def _row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _upper_tiles(n: int, height: int = TILE, width: int = TILE) -> Iterator[tuple[slice, slice]]:
+def _upper_tiles(n: int, height: int, width: int) -> Iterator[tuple[slice, slice]]:
     """``(rs, cs)`` slice pairs of the ``height`` x ``width`` tiles that cover the upper triangle of n x n.
 
     Each range ``rs`` of ``height`` rows is walked from its own first
@@ -123,38 +131,21 @@ def _upper_tiles(n: int, height: int = TILE, width: int = TILE) -> Iterator[tupl
             yield rs, slice(c_lo, min(c_lo + width, n))
 
 
-def _kernel_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Kernel matrix from :func:`_prepared_rows` and their statistics.
-
-    Each upper tile is computed in place and copied, transposed, into its
-    mirror; a diagonal tile's Gram product ``a @ a.T`` is exactly
-    symmetric, so the matrix is too.
-    """
-    n = rows.shape[0]
-    out = np.empty((n, n))
-    gram = np.empty(min(n, TILE) ** 2)
-    for rs, cs in _upper_tiles(n):
-        tile = _kernel_of_gram(_gram_tile(rows, rows, rs, cs, gram), stats[rs], stats[cs], spec, out=out[rs, cs])
-        if cs.start > rs.start:
-            out[cs, rs] = tile.T
-    return out
-
-
 def _column_blocks(n: int) -> Iterator[slice]:
     """Slices of the consecutive blocks of ``TILE`` columns of an n-column matrix."""
     return (slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE))
 
 
-def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float,
-                    buf: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float, buf: np.ndarray,
+                    gram: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(cs, g)`` for each of :func:`_column_blocks`: the Gaussian logits ``-clip(d^2, 0) / width``, to rounding, of every row against the rows ``cs``.
 
     Each ``g`` is an N x c view at the start of the flat float array
     ``buf``, which the next block overwrites.  Rows of at most
     ``AUGMENTED_MAX_DIM`` features take a product of
     :func:`_augmented_rows`, built once, if those are finite; otherwise
-    the Gram product ``g`` becomes ``min(2g - s_i - s_j, 0) / width`` in
-    place, ``-inf`` only where ``d^2 / width`` overflows.
+    :func:`_gram_logits` of a Gram product in the flat ``gram``, another
+    array than ``buf``: ``-inf`` only where ``d^2 / width`` overflows.
     """
     n, d = rows.shape
     every = slice(0, n)
@@ -164,28 +155,9 @@ def _logits_of_rows(rows: np.ndarray, stats: np.ndarray, width: float,
     for cs in _column_blocks(n):
         if aug is not None:
             yield cs, _logits_tile(*aug, every, cs, buf)
-            continue
-        g = _gram_tile(rows, rows, every, cs, buf)
-        g *= 2.0
-        g -= stats[:, None]
-        g -= stats[None, cs]
-        np.minimum(g, 0.0, out=g)
-        with np.errstate(over="ignore"):  # a logit of -inf is a conditional of 0
-            g /= width
-        yield cs, g
-
-
-def _kernel_tile(rows: np.ndarray, stats: np.ndarray, rs: slice, cs: slice, spec: KernelSpec,
-                 gram: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``K[rs, cs]`` of prepared rows and their :func:`_row_stats`, in caller-owned flat buffers.
-
-    The Gram product goes into ``gram`` and the kernel values, returned as
-    a view, into ``out``.  The arithmetic is that of :func:`kernel_matrix`,
-    but BLAS may round an entry of a product of one shape differently
-    from the same entry of another, so a value can differ in its last bits.
-    """
-    g = _gram_tile(rows, rows, rs, cs, gram)
-    return _kernel_of_gram(g, stats[rs], stats[cs], spec, out=out[: g.size].reshape(g.shape))
+        else:
+            g = _gram_tile(rows, rows, every, cs, gram)
+            yield cs, _gram_logits(g, stats, stats[cs], width, buf[: g.size].reshape(g.shape))
 
 
 def _gram_tile(a: np.ndarray, b: np.ndarray, rs: slice, cs: slice, gram: np.ndarray) -> np.ndarray:
@@ -223,12 +195,32 @@ def _logits_tile(a: np.ndarray, b: np.ndarray, rs: slice, cs: slice, buf: np.nda
     """Gaussian logits ``min(a[rs] @ b[cs].T, 0)`` of :func:`_augmented_rows`, in the flat ``buf``.
 
     The minimum clips the rounding error that can make a logit positive,
-    as the clip of ``d^2`` at 0 does in :func:`_kernel_of_gram`; a NaN
+    as the clip of ``d^2`` at 0 does in :func:`_gram_logits`; a NaN
     stays NaN.  The values agree with that function's logits to rounding,
     not bit for bit.
     """
     k = _gram_tile(a, b, rs, cs, buf)
     return np.minimum(k, 0.0, out=k)
+
+
+def _gram_logits(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, width: float,
+                 out: np.ndarray | None) -> np.ndarray:
+    """Gaussian logits ``-clip(sa + sb - 2g, 0) / width`` of the Gram product ``g = a @ b.T`` of rows with squared norms sa, sb.
+
+    The logits are written into ``out``, a new array when None, and ``g``
+    is overwritten.  Each step is one pass in the order of the
+    expression, so the values are its values, NaN included, and the
+    logits of ``a @ a.T`` are exactly symmetric.
+    """
+    k = np.add(stats_a[:, None], stats_b[None, :], out=out)
+    g *= 2.0
+    k -= g
+    np.maximum(k, 0.0, out=k)
+    # negated before the division, as in the expression, which keeps the sign of a NaN, and
+    # into g: numpy 2.4's in-place negative misreads an array with a stride of 8 doubles
+    np.negative(k, out=g)
+    with np.errstate(over="ignore"):  # a logit of -inf is a kernel value or a conditional of 0
+        return np.divide(g, width, out=k)
 
 
 def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spec: KernelSpec, *,
@@ -237,8 +229,8 @@ def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spe
 
     The values are written into ``out``: ``g`` itself when None for the
     cosine kernel, a new array for the Gaussian.  ``g`` is overwritten.
-    Each step is one in-place pass in the order of
-    ``exp(-clip(sa + sb - 2g, 0) / width)`` and ``(clip(g, -1, 1) + 1) / 2``,
+    Each step is one pass in the order of :func:`_gram_logits`' exponential
+    ``exp(-clip(sa + sb - 2g, 0) / width)`` or ``(clip(g, -1, 1) + 1) / 2``,
     so the values are those of the expressions, NaN included.  The cosine
     clip runs as a maximum and then a minimum and the halving as a product
     by 0.5, which give the same bits and take less time.
@@ -249,11 +241,5 @@ def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spe
         k += 1.0
         k *= 0.5
         return k
-    k = np.add(stats_a[:, None], stats_b[None, :], out=out)
-    g *= 2.0
-    k -= g
-    np.maximum(k, 0.0, out=k)
-    np.negative(k, out=k)  # before the division, as in the expression, which keeps the sign of a NaN
-    with np.errstate(over="ignore"):  # a logit of -inf is a kernel value of 0
-        k /= spec.width
+    k = _gram_logits(g, stats_a, stats_b, spec.width, out)
     return np.exp(k, out=k)

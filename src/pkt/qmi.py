@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (COSINE, LOGITS_OVERFLOW, KernelSpec, _augmented_rows, _gram_tile, _kernel_tile, _logits_tile,
+from .kernels import (COSINE, LOGITS_OVERFLOW, KernelSpec, _augmented_rows, _gram_tile, _kernel_of_gram, _logits_tile,
                       _prepared_rows, _upper_tiles)
 
 # Rows and columns of the tiles in which the kernel sums walk the upper triangle.
@@ -193,11 +193,17 @@ def _cosine_differences(teacher: np.ndarray, student: np.ndarray, spec: KernelSp
 
 def _kernel_differences(teacher: np.ndarray, student: np.ndarray, spec_t: KernelSpec,
                         spec_s: KernelSpec) -> Iterator[np.ndarray]:
-    """``K_t - K_s`` tile by tile, from the kernel values of both prepared embeddings."""
+    """``K_t - K_s`` tile by tile, from the kernel values of both prepared embeddings.
+
+    Each is :func:`kernel_matrix`'s value up to its last bits, which BLAS
+    may round differently in a product of another shape.
+    """
     t_rows, t_stats = _prepared_rows(teacher, spec_t)
     s_rows, s_stats = _prepared_rows(student, spec_s)
     gram, k_t, k_s = (np.empty(BLOCK * TILE) for _ in range(3))
     for rs, cs in _upper_tiles(teacher.shape[0], BLOCK, TILE):
-        dev = _kernel_tile(t_rows, t_stats, rs, cs, spec_t, gram, k_t)
-        dev -= _kernel_tile(s_rows, s_stats, rs, cs, spec_s, gram, k_s)
+        g = _gram_tile(t_rows, t_rows, rs, cs, gram)
+        dev = _kernel_of_gram(g, t_stats[rs], t_stats[cs], spec_t, out=k_t[: g.size].reshape(g.shape))
+        g = _gram_tile(s_rows, s_rows, rs, cs, gram)
+        dev -= _kernel_of_gram(g, s_stats[rs], s_stats[cs], spec_s, out=k_s[: g.size].reshape(g.shape))
         yield dev

@@ -19,14 +19,11 @@ must be finite.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import _safe_norms
-
-log = logging.getLogger(__name__)
 
 # Queries ranked per matrix product: each holds QUERY_BLOCK x N entries.
 QUERY_BLOCK = 64
@@ -125,7 +122,7 @@ def average_precision_11pt(ranked_relevance, n_relevant_total: int) -> float:
     rel = np.asarray(ranked_relevance, dtype=bool)
     if rel.ndim != 1:
         raise ValueError("relevance list must be 1-D")
-    if not isinstance(n_relevant_total, (int, np.integer)) or n_relevant_total < 1:
+    if not isinstance(n_relevant_total, (int, np.integer)) or type(n_relevant_total) is bool or n_relevant_total < 1:
         raise ValueError(f"n_relevant_total {n_relevant_total!r} is not an integer of at least 1")
     ranks = np.flatnonzero(rel)
     if ranks.size > n_relevant_total:
@@ -148,7 +145,7 @@ def evaluate(
     """
     queries = np.asarray(queries, dtype=float)
     query_labels = np.asarray(query_labels)
-    ks = list(dict.fromkeys(ks)) if ks else []
+    ks = list(ks) if ks else []
     if queries.ndim != 2 or queries.shape[0] == 0:
         raise ValueError("query set is empty")
     if query_labels.ndim != 1 or query_labels.shape[0] != queries.shape[0]:
@@ -158,8 +155,9 @@ def evaluate(
     if not np.all(np.isfinite(queries)):
         raise ValueError("query features contain non-finite entries")
     for k in ks:
-        if not isinstance(k, (int, np.integer)) or k < 1 or k > index.db_feats.shape[0]:
+        if not isinstance(k, (int, np.integer)) or type(k) is bool or k < 1 or k > index.db_feats.shape[0]:
             raise ValueError(f"top-k value {k!r} is not an integer in 1..{index.db_feats.shape[0]}")
+    ks = list(dict.fromkeys(ks))  # after the check: a bool would fold into an equal int
 
     db_unit = _unit_rows(index.db_feats)
     neg_queries = -_unit_rows(queries)  # negation is exact, so the keys are the negated cosines bit for bit
@@ -186,7 +184,6 @@ def evaluate(
                 topk_sums[k] += count / k
 
     if not aps:
-        log.error("every query was skipped: no query label occurs in the database")
         return RetrievalResult(map=float("nan"), top_k={k: float("nan") for k in ks},
                                per_query_ap=[], n_skipped=n_skipped)
     return RetrievalResult(

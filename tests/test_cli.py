@@ -16,11 +16,6 @@ from pkt.cli import main
 from pkt.kernels import LOGITS_OVERFLOW
 
 
-@pytest.fixture(autouse=True)
-def clean_log_env(monkeypatch):
-    monkeypatch.delenv("PKT_LOG", raising=False)
-
-
 @pytest.fixture
 def workdir(tmp_path):
     rng = np.random.default_rng(9)
@@ -262,11 +257,32 @@ def test_malformed_arch(workdir, capsys):
     assert "--arch" in capsys.readouterr().err
 
 
-def test_bad_log_level_rejected(monkeypatch, capsys):
-    monkeypatch.setenv("PKT_LOG", "chatty")
-    rc = main(["gradcheck", "--n", "4", "--dim", "2"])
-    assert rc == 1
-    assert "PKT_LOG" in capsys.readouterr().err
+def test_eval_reports_skipped_queries_on_stderr(workdir, capsys):
+    feats = read_features(workdir / "teacher.txt")
+    labels = np.loadtxt(workdir / "labels.txt", dtype=int)
+
+    def eval_output(query_labels, top_k):
+        write_labels(workdir / "qlabels.txt", query_labels)
+        rc = main(["eval", "--db", str(workdir / "teacher.txt"), "--db-labels", str(workdir / "labels.txt"),
+                   "--queries", str(workdir / "teacher.txt"), "--query-labels", str(workdir / "qlabels.txt"),
+                   *top_k])
+        assert rc == 0
+        return capsys.readouterr()
+
+    one_absent = labels.copy()
+    one_absent[4] = 7  # no database item has label 7
+    result = evaluate(RetrievalIndex(feats, labels), feats, one_absent, ks=[3, 5])
+    assert result.n_skipped == 1
+    captured = eval_output(one_absent, ["--top-k", "3,5"])
+    assert captured.out == (f"mAP {100.0 * result.map:.4f}\n"
+                            f"t-3 {100.0 * result.top_k[3]:.4f}\nt-5 {100.0 * result.top_k[5]:.4f}\n")
+    assert captured.err == "pkt: skipped 1 queries with no relevant database item\n"
+
+    captured = eval_output(np.full(len(labels), 7), [])
+    assert captured.out == "mAP nan\n"
+    assert captured.err == f"pkt: skipped {len(labels)} queries with no relevant database item\n"
+
+    assert eval_output(labels, []).err == ""
 
 
 def test_failing_transfer_keeps_finished_batches_and_writes_no_model(tmp_path, capsys):

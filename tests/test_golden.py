@@ -82,8 +82,8 @@ GOLDEN = {
                          "losses": "1c06037760e61d0d65b706059d8d5950c33384bf5e7548b58479bd6da4a6e256"},
         "cosine_blocks": {"parameters": "7d70f0336a7ad44dfea87e170938b073d5e5ebf762f3a3d098efa1a6df6c8156",
                           "losses": "f09507a42d2fccb56bb6b0be2a4b404ae9adb5b5c4334b3dcc5ccdd389f45ca0"},
-        "gaussian_wide_blocks": {"parameters": "f6c936d2dbb7445aa8d069f8039018749911e8057849b08b5e82a90b9b6d3c3e",
-                                 "losses": "528a357181965f3fab17a388c407d6ee7b9c679b7e5ec346e57c4a329dbe8e6a"},
+        "gaussian_wide_blocks": {"parameters": "2af747ab7fe69aa5f507e3331f480829a24d5074be7577e6fa7501a99be68dc5",
+                                 "losses": "847a7f3e41799cca259effabcbed5fa770cedad1ff637d9ccf7a9fbf62f101f2"},
     },
     "Haswell": {
         "cosine": {"parameters": "27b1c75cd9ff84bedb7ceaca97219ac971a35b6590bf675ed3b809bf1d0a6eb3",
@@ -92,8 +92,8 @@ GOLDEN = {
                          "losses": "ec2d5eb932776739bc4455c1eb6d9f78f1eab48d31f4621d18edec38ea8abb6b"},
         "cosine_blocks": {"parameters": "00392e48e806cd8a1bd8e741fa0dc733b08b077fced4907fe8e5bfa10558e7b0",
                           "losses": "b3012a4ccdc77880c57d07f7fa581bbc81f285b851ed642a946ebece8ada07fe"},
-        "gaussian_wide_blocks": {"parameters": "920139f3350ecdb2a5dc8a5d6dde658281ff5d675b8aa8bf3132e89a9a7a312d",
-                                 "losses": "ed3c0f17699467cfcc92a0641688ea157b487dda87a4cb3018cdab6531330884"},
+        "gaussian_wide_blocks": {"parameters": "0f940e45ca39e2c620ecaf4791f12210c058890327a3753d250e91a451abedee",
+                                 "losses": "aad4248a9968ce70bbeb5ad7021a12e7b4b45edfd14505e86c3cc5e099c68c40"},
     },
 }
 

@@ -99,9 +99,12 @@ def test_logits_of_rows_are_the_clipped_distances_over_the_width_to_rounding(wid
     stats = np.einsum("ij,ij->i", x, x)
     logits, again = np.full((2, n, n), np.nan)
     for full, buf in [(logits, np.full(n * TILE, np.nan)), (again, np.empty(n * TILE))]:
-        for cs, block in _logits_of_rows(x, stats, width, buf):
+        for cs, block in _logits_of_rows(x, stats, width, buf, np.empty(n * TILE)):
             assert np.shares_memory(block, buf) and block.shape == (n, cs.stop - cs.start)
             full[:, cs] = block
+            if dim > AUGMENTED_MAX_DIM:  # the Gram side is the one formula of the same product, bit for bit
+                expected = -np.clip(stats[:, None] + stats[None, cs] - 2.0 * (x @ x[cs].T), 0.0, None) / width
+                assert block.tobytes() == expected.tobytes()
     assert logits.tobytes() == again.tobytes()
     d2 = np.array([np.sum((x - row) ** 2, axis=1) for row in x])
     # both the product of augmented rows and the Gram product of wider rows

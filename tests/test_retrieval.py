@@ -202,6 +202,16 @@ def test_evaluate_rejects_labels_that_are_not_1d_and_a_k_that_is_not_an_integer(
     assert list(evaluate(index, np.eye(3), labels, ks=[np.int64(2)]).top_k) == [2]
 
 
+def test_a_bool_is_neither_a_top_k_value_nor_a_relevant_total():
+    # bool is a subclass of int, and True == 1 would merge with a k of 1
+    index = RetrievalIndex(np.eye(3), np.array([0, 1, 0]))
+    for ks in ([True, 1], [1, True], [True]):
+        with pytest.raises(ValueError, match="top-k value True is not an integer"):
+            evaluate(index, np.eye(3), np.array([0, 1, 0]), ks=ks)
+    with pytest.raises(ValueError, match="n_relevant_total True"):
+        average_precision_11pt([1, 0], True)
+
+
 def test_a_block_with_one_tied_row_ranks_as_the_stable_argsort_of_its_product():
     # a zero query, whose keys are all +-0, among queries whose keys are
     # distinct: the sure rows take the binary search and the tied row the
