@@ -43,19 +43,18 @@ def _checked_features(feats: np.ndarray) -> np.ndarray:
 
 def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, out: np.ndarray,
                           q_out: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(cs, a, q, c)`` for each of the :func:`_column_blocks` ``cs``: the N x c conditionals ``q`` of those conditioning columns.
+    """Yield ``(cs, a, q, c)`` for each of the :func:`_column_blocks` ``cs``, whose N x c conditionals are cosine ``q`` or Gaussian ``q / c``.
 
     The rows come from :func:`_prepared_rows` with their statistics.  The
     self-pairs of block ``cs`` are the diagonal of its rows ``cs``.
     Cosine: ``a`` is the kernel with zero self-pairs, ``c`` its column
     sums and ``q = a / c``; ``q_out`` may be ``out``.  Gaussian: ``a``
-    holds the logits less their column maxima, with zero self-pairs,
-    ``c`` the log column sums of ``exp(a)`` off the self-pairs, and
-    ``log q = a - c`` off them; ``q_out`` must be another array than
-    ``out``, and it holds a wide block's Gram product until ``q`` is
-    written.  ``a`` and ``q`` are views at the start of the flat float
-    arrays ``out`` and ``q_out``, of at least N * min(N, TILE) entries
-    each, which the next block overwrites.
+    holds the logits less their column maxima, with zero self-pairs, ``q``
+    their exponentials, 0 on the self-pairs, and ``c`` q's column sums:
+    the conditionals are ``q / c``.  ``q_out`` is not ``out``; it holds a
+    wide block's Gram product until ``q`` is written.  ``a`` and ``q`` are
+    views at the start of the flat float arrays ``out`` and ``q_out``, of
+    at least N * min(N, TILE) entries each, which the next block overwrites.
     """
     n = rows.shape[0]
     if spec.family == COSINE:
@@ -77,11 +76,9 @@ def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec,
         if not np.all(np.isfinite(top)):
             raise ValueError(LOGITS_OVERFLOW)
         a -= top
-        q = np.exp(a, out=q_out[: a.size].reshape(a.shape))
-        colsums = q.sum(axis=0)
-        q /= colsums[None, :]
+        e = np.exp(a, out=q_out[: a.size].reshape(a.shape))
         np.fill_diagonal(a[cs], 0.0)
-        yield cs, a, q, np.log(colsums)
+        yield cs, a, e, e.sum(axis=0)
 
 
 def conditional_probabilities(feats: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -90,8 +87,8 @@ def conditional_probabilities(feats: np.ndarray, spec: KernelSpec) -> np.ndarray
     n = rows.shape[0]
     q = np.empty((n, n))
     out, q_out = np.empty((2, n * min(n, TILE)))
-    for cs, _, block, _ in _conditionals_of_rows(rows, stats, spec, out, q_out):
-        q[:, cs] = block
+    for cs, _, block, c in _conditionals_of_rows(rows, stats, spec, out, q_out):
+        q[:, cs] = block if spec.family == COSINE else block / c
     return q
 
 

@@ -8,19 +8,20 @@ documented as batch-size-coupled for that reason.
 
 The optional supervised term is built from class labels: its targets
 are uniform over each sample's same-class partners, so ``sum t log t``
-follows from the class counts alone.  Both kernel families share one
-value, ``sum p log p + weight * sum t log t - sum p_eff log q`` with
-``p_eff = p + weight * t``; each family computes only its cross term
-``sum p_eff log q`` and the gradient.  With a Gaussian student both come
-from the log-domain conditionals (the SNE/t-SNE formulation), exact at
-any width: nothing is clamped.  With a cosine student the conditionals
-are linear, and ``Q_FLOOR`` clamps them inside the log.
+follows from the class counts alone; a batch in label order adds them
+over one rectangle per class.  Both kernel families share one value,
+``sum p log p + weight * sum t log t - sum p_eff log q`` with ``p_eff =
+p + weight * t``; each family computes only its cross term ``sum p_eff
+log q`` and the gradient.  With a Gaussian student both come from the
+log-domain conditionals (the SNE/t-SNE formulation), exact at any
+width: nothing is clamped.  With a cosine student the conditionals are
+linear, and ``Q_FLOOR`` clamps them inside the log.
 
 Every conditional is normalized down its own conditioning column, so a
 batch is computed in blocks of ``TILE`` columns: each block's teacher
 conditionals, targets, student conditionals, loss terms and gradient
 weights ``a[:, cs]``, while ``a @ y``, ``a.T @ y`` and the coupling sums
-accumulate.  A batch of N rows holds O(N * D) rows and five N x TILE
+accumulate.  A batch of N rows holds O(N * D) rows and four N x TILE
 blocks, never an N x N array.
 """
 
@@ -64,36 +65,27 @@ def kl_loss(p_teacher: np.ndarray, q_student: np.ndarray) -> float:
     return float(np.sum(p[m] * np.log(p[m] / np.clip(q, Q_FLOOR, 1.0)[m])))
 
 
-def _label_weights(labels: np.ndarray, weight: float) -> tuple[np.ndarray, float]:
-    """Each slot's weighted target ``weight / c_j`` and ``sum t log t``, for the label targets ``t``.
+def _label_classes(labels: np.ndarray) -> tuple[np.ndarray, float]:
+    """The bounds of the classes of labels sorted by class, and ``sum t log t`` of their targets ``t``.
 
     ``t[i, j] = 1 / c_j`` if samples i != j share a class, c_j being the
-    number of slot j's same-class partners.  A slot without partners is
-    an all-zero column of ``t``, which adds nothing to either sum, so a
-    batch of distinct labels leaves ``p_eff`` equal to ``p``.
+    number of slot j's same-class partners.  Class k is the range of
+    rows ``bounds[k]:bounds[k + 1]``.  A slot without partners is an
+    all-zero column of ``t``, which adds nothing to the sum.
     """
-    _, inverse, class_sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    counts = class_sizes[inverse] - 1
-    return (1.0 / np.maximum(counts, 1)) * weight, float(np.log(1.0 / counts[counts > 0]).sum())
+    bounds = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True])
+    counts = np.repeat(np.diff(bounds), np.diff(bounds)) - 1
+    return bounds, float(np.log(1.0 / counts[counts > 0]).sum())
 
 
-def _supervised_into(p: np.ndarray, labels: np.ndarray, cs: slice, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the block ``p_eff[:, cs] = p + weight * t[:, cs]`` into the flat ``out``, from :func:`_label_weights`' ``inv``."""
-    same = labels[:, None] == labels[None, cs]
-    np.fill_diagonal(same[cs], False)
-    p_eff = np.multiply(same, inv[cs], out=out[: p.size].reshape(p.shape))
-    p_eff += p
-    return p_eff
-
-
-def _dloss_dq(p_eff: np.ndarray, q: np.ndarray, cs: slice, out: np.ndarray) -> np.ndarray:
-    # d/dq of sum p*log(p/clamp(q)) = -p/q where the clamp is inactive
-    # and p > 0; zero elsewhere (clamped entries are locally constant).
-    active = (p_eff > 0.0) & (q > Q_FLOOR)
-    np.fill_diagonal(active[cs], False)
-    out.fill(0.0)
-    np.negative(p_eff, out=out, where=active)
-    return np.divide(out, q, out=out, where=active)
+def _supervised_into(p: np.ndarray, cs: slice, bounds: np.ndarray, weight: float) -> np.ndarray:
+    """Add ``weight * t[:, cs]`` into the block ``p = p[:, cs]`` in place, one rectangle per class; self-pairs keep p's value."""
+    diagonal = np.diagonal(p[cs]).copy()
+    first, end = np.searchsorted(bounds, cs.start, side="right") - 1, np.searchsorted(bounds, cs.stop)
+    for lo, hi in zip(bounds[first:end].tolist(), bounds[first + 1 : end + 1].tolist()):
+        p[lo:hi, max(lo - cs.start, 0) : hi - cs.start] += (1.0 / max(hi - lo - 1, 1)) * weight
+    np.fill_diagonal(p[cs], diagonal)
+    return p
 
 
 def _sum_x_log_x(m: np.ndarray, cs: slice, buf: np.ndarray) -> float:
@@ -106,8 +98,8 @@ def _sum_x_log_x(m: np.ndarray, cs: slice, buf: np.ndarray) -> float:
 
 
 def _block_buffers(n: int) -> np.ndarray:
-    """The five flat float arrays that :func:`_batch_loss` works in, for batches of up to n rows."""
-    return np.empty((5, n * min(n, TILE)))
+    """The four flat float arrays that :func:`_batch_loss` works in, for batches of up to n rows."""
+    return np.empty((4, n * min(n, TILE)))
 
 
 def pkt_loss_and_grad(
@@ -125,7 +117,7 @@ def pkt_loss_and_grad(
 
     Gaussian student: with logits ``L = -d^2 / width`` and
     ``log q = L - logsumexp`` down each column, the gradient in the
-    logits is ``a = q * colsum(p_eff) - p_eff``, and
+    logits is ``a = q * colsum(p_eff) - p_eff``, with column sums 0, and
 
         grad_y = (2 / width) * (w @ y - rowsum(w) * y)
 
@@ -138,13 +130,15 @@ def pkt_loss_and_grad(
 
     In both, ``w = a + a.T`` sums the two slots each unordered pair
     feeds, and neither family builds it: ``w @ y = a @ y + a.T @ y``,
-    and a row sum of w (or of ``w * cos``) is a's row sum plus its
-    column sum, ``cos`` being symmetric to rounding.
+    and a row sum of ``w * cos`` is the row sum of ``a * cos`` plus its
+    column sum, ``cos`` being symmetric to rounding; a Gaussian row sum
+    of w is a's row sum alone.
 
     ``sup`` is an optional ``(labels, weight)`` pair, one class label per
     row of ``y``, adding ``weight * KL(t || conditionals(y))`` to the
     loss, where the targets ``t`` are uniform over each sample's
-    same-class partners.  ``grad_y`` is always a new array.
+    same-class partners; the rows are taken in the stable label order.
+    ``grad_y`` is always a new array, in the caller's row order.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(p_teacher, dtype=float)
@@ -158,10 +152,17 @@ def pkt_loss_and_grad(
         labels = np.asarray(labels)
         if labels.shape != (n,):
             raise ValueError(f"supervised labels of shape {labels.shape} are not one label per student row")
-        sup = (labels, weight) if weight > 0 else None
+        order = np.argsort(labels, kind="stable")
+        labels = labels[order]
+        sup = (labels, weight) if weight > 0 and np.any(labels[1:] == labels[:-1]) else None  # else the term is 0
+    if sup is not None:
+        y, p = y[order], p[np.ix_(order, order)]
     bufs = _block_buffers(n)
     blocks = ((cs, p[:, cs], _sum_x_log_x(p[:, cs], cs, bufs[1])) for cs in _column_blocks(n))
-    return _batch_loss(y, student_spec, blocks, sup, bufs)
+    report = _batch_loss(y, student_spec, blocks, sup, bufs)
+    if sup is not None:
+        report.grad_y[order] = report.grad_y.copy()
+    return report
 
 
 def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[slice, np.ndarray, float]],
@@ -170,24 +171,25 @@ def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[
 
     ``teacher_blocks`` yields ``(cs, p, part)`` for each of the
     :func:`_column_blocks` ``cs`` in order: the N x c teacher
-    conditionals ``p[:, cs]``, and the block's part of ``sum p log p``,
-    after which ``bufs[1]`` is free.  ``bufs`` comes from
-    :func:`_block_buffers`; ``sup`` is None or has a positive weight.
+    conditionals ``p[:, cs]``, which the targets are added into, and the
+    block's part of ``sum p log p``, after which ``bufs[1]`` is free.
+    ``bufs`` comes from :func:`_block_buffers`; ``sup`` is None or has a
+    positive weight and labels sorted by class.
     """
     rows, stats = _prepared_rows(_checked_features(y), spec)
     n = rows.shape[0]
     p_log_p = sup_log = cross = 0.0
     if sup is not None:
         labels, weight = sup
-        inv, t_log_t = _label_weights(labels, weight)
+        bounds, t_log_t = _label_classes(labels)
         sup_log = weight * t_log_t
     ay, aty, row_terms, col_terms = np.zeros_like(rows), np.empty_like(rows), np.zeros(n), np.empty(n)
     block_terms = _cosine_block if spec.family == COSINE else _gaussian_block
     student = _conditionals_of_rows(rows, stats, spec, bufs[2], bufs[3])
     for (cs, p, part), (_, s, q, c) in zip(teacher_blocks, student):
         p_log_p += part
-        p_eff = p if sup is None else _supervised_into(p, labels, cs, inv, bufs[1])
-        cross_part, a, row_part, col_terms[cs] = block_terms(p_eff, cs, s, q, c, bufs[4])
+        p_eff = p if sup is None else _supervised_into(p, cs, bounds, weight)
+        cross_part, a, row_part, col_terms[cs] = block_terms(p_eff, cs, s, q, c, bufs[1])
         cross += cross_part
         ay += a @ rows[cs]
         aty[cs] = a.T @ rows
@@ -202,19 +204,20 @@ def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[
     return LossReport(value=value, grad_y=grad, n_pairs=n * (n - 1))
 
 
-def _gaussian_block(p_eff, cs, shifted, q, log_colsums, _) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _gaussian_block(p_eff, cs, shifted, e, colsums, _) -> tuple[float, np.ndarray, np.ndarray, float]:
     """A Gaussian block's part of ``sum p_eff log q``, its gradient weights ``a`` in the logits, and a's row and column sums.
 
     The cross term is one dot product with the shifted logits less one
-    with the log column sums; ``a`` is written over ``q``.
+    with the log column sums.  ``a = e * (mass / colsums) - p_eff`` is
+    written over ``e``; its column sums, ``mass - mass = 0``, are not formed.
     """
     mass = p_eff.sum(axis=0)
     mass -= np.diagonal(p_eff[cs])
-    cross = float(np.dot(p_eff.ravel(), shifted.ravel())) - float(np.dot(mass, log_colsums))
-    a = np.multiply(q, mass[None, :], out=q)
+    cross = float(np.dot(p_eff.ravel(), shifted.ravel())) - float(np.dot(mass, np.log(colsums)))
+    a = np.multiply(e, mass / colsums, out=e)
     a -= p_eff
     np.fill_diagonal(a[cs], 0.0)
-    return cross, a, a.sum(axis=1), a.sum(axis=0)
+    return cross, a, a.sum(axis=1), 0.0
 
 
 def _cosine_block(p_eff, cs, k, q, colsums, buf) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -228,7 +231,13 @@ def _cosine_block(p_eff, cs, k, q, colsums, buf) -> tuple[float, np.ndarray, np.
     np.fill_diagonal(log_q[cs], 0.0)
     cross = float(np.dot(p_eff.ravel(), log_q.ravel()))
 
-    a = _dloss_dq(p_eff, q, cs, g)
+    # d/dq of sum p*log(p/clamp(q)) = -p/q where the clamp is inactive
+    # and p > 0; zero elsewhere (clamped entries are locally constant).
+    active = (p_eff > 0.0) & (q > Q_FLOOR)
+    np.fill_diagonal(active[cs], False)
+    g.fill(0.0)
+    np.negative(p_eff, out=g, where=active)
+    a = np.divide(g, q, out=g, where=active)
     t = np.einsum("rc,rc->c", a, q)
     a -= t[None, :]
     a /= colsums[None, :]

@@ -8,10 +8,11 @@ its B teacher rows and builds their conditionals from those statistics
 (Gaussian ones in the log domain) one block of ``TILE`` conditioning
 columns at a time, with the block's part of the ``sum p log p`` the loss
 value needs, and the loss takes each block as it comes.  So training
-holds O(N) statistics, O(B*D) rows per batch and five B x TILE blocks
+holds O(N) statistics, O(B*D) rows per batch and four B x TILE blocks
 per run, never a B x B array or a second N x D copy of the teacher, and
 matches the batch-wise estimation of the full similarity structure.
-Class labels are only touched when ``sup_weight > 0``.
+Class labels are only touched when ``sup_weight > 0``, to gather each
+batch in the stable order of its labels and add their targets.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def _teacher_blocks(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray, spe
 
     ``p`` is built in ``bufs[0]``.  A cosine block's ``part`` of
     ``sum p log p`` takes its logs in ``bufs[1]``; Gaussian logits are
-    built there, and ``part`` is one dot product of ``p`` with the
-    shifted logits, less the log column sums.
+    built there, ``p`` is their exponentials over the column sums, and
+    ``part`` is one dot product of ``p`` with them, less the log sums.
     """
     rows, batch_stats = teacher[idx], stats[idx]
     if spec.family == COSINE:
@@ -100,8 +101,9 @@ def _teacher_blocks(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray, spe
         for cs, _, p, _ in _conditionals_of_rows(rows, batch_stats, spec, bufs[0], bufs[0]):
             yield cs, p, _sum_x_log_x(p, cs, bufs[1])
         return
-    for cs, shifted, p, log_colsums in _conditionals_of_rows(rows, batch_stats, spec, bufs[1], bufs[0]):
-        yield cs, p, float(np.dot(p.ravel(), shifted.ravel())) - float(log_colsums.sum())
+    for cs, shifted, e, colsums in _conditionals_of_rows(rows, batch_stats, spec, bufs[1], bufs[0]):
+        p = np.divide(e, colsums, out=e)
+        yield cs, p, float(np.dot(p.ravel(), shifted.ravel())) - float(np.log(colsums).sum())
 
 
 def train(
@@ -141,6 +143,8 @@ def train(
     trace: list[TraceEntry] = []
     for epoch in range(cfg.epochs):
         chunks = sample_batch(n, cfg.batch_size, cfg.seed, epoch)
+        if cfg.sup_weight > 0:
+            chunks = [idx[np.argsort(labels[idx], kind="stable")] for idx in chunks]
         for b, idx in enumerate(chunks):
             try:
                 y = model.forward(raw_inputs[idx])

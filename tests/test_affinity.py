@@ -81,17 +81,18 @@ def test_conditionals_of_rows_consistency(spec):
     [(cs, a, q, c)] = _conditionals_of_rows(*_prepared_rows(x, spec), spec, out, q_out)  # 9 rows: one block
     assert cs == slice(0, 9) and np.shares_memory(a, out) and np.shares_memory(q, q_out)
     assert np.all(np.diag(a) == 0.0)
-    assert np.array_equal(q, conditional_probabilities(x, spec))
     if spec.family == COSINE:
+        assert np.array_equal(q, conditional_probabilities(x, spec))
         assert np.array_equal(q, a / c[None, :])
         return
-    # a holds the logits less each column's largest off-diagonal one, and
-    # c the log of each column's off-diagonal mass
+    # a holds the logits less each column's largest off-diagonal one, q
+    # their exponentials with zero self-pairs, and c q's column sums
     off = ~np.eye(9, dtype=bool)
     assert np.all(np.max(np.where(off, a, -np.inf), axis=0) == 0.0)
-    assert np.exp(c) == pytest.approx(np.where(off, np.exp(a), 0.0).sum(axis=0), rel=1e-15)
-    assert q[off] == pytest.approx(np.exp(a - c[None, :])[off], rel=1e-14)
+    assert np.array_equal(q[off], np.exp(a)[off])
     assert np.all(np.diag(q) == 0.0)
+    assert np.array_equal(c, q.sum(axis=0))
+    assert np.array_equal(q / c[None, :], conditional_probabilities(x, spec))
 
 
 @pytest.mark.parametrize("spec, message", [(cosine_kernel(), "degenerate geometry"),

@@ -8,10 +8,11 @@ from pkt import (
     cosine_kernel,
     conditional_probabilities,
     gaussian_kernel,
+    kernel_matrix,
     kl_loss,
     pkt_loss_and_grad,
 )
-from pkt.divergence import Q_FLOOR, _label_weights, _supervised_into
+from pkt.divergence import Q_FLOOR, _label_classes, _supervised_into
 from pkt.gradcheck import finite_difference, max_relative_error, random_conditionals
 from pkt.kernels import TILE, _column_blocks
 
@@ -221,13 +222,14 @@ def supervised_into_oracle(p, labels, weight):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(2, 2 * TILE + 3), weight=st.floats(5e-324, 1e3), seed=st.integers(0, 2**32 - 1))
 def test_supervised_targets_match_the_divide_based_oracle_bit_for_bit(data, n, weight, seed):
-    # the targets are built one block of conditioning columns at a time
-    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 5)))
+    # the targets are added one block of conditioning columns at a time,
+    # over the class rectangles of labels sorted by class
+    labels = np.sort(data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 5))))
     p = random_conditionals(np.random.default_rng(seed), n)
-    inv, sum_t_log_t = _label_weights(labels, weight)
-    out, p_eff = np.full(n * TILE, np.nan), np.full((n, n), np.nan)
+    bounds, sum_t_log_t = _label_classes(labels)
+    p_eff = np.full((n, n), np.nan)
     for cs in _column_blocks(n):
-        p_eff[:, cs] = _supervised_into(np.ascontiguousarray(p[:, cs]), labels, cs, inv, out)
+        p_eff[:, cs] = _supervised_into(p[:, cs].copy(), cs, bounds, weight)
     expected, expected_sum = supervised_into_oracle(p, labels, weight)
     assert p_eff.tobytes() == expected.tobytes()
     assert sum_t_log_t.hex() == expected_sum.hex()
@@ -261,6 +263,47 @@ def test_cosine_loss_of_a_batch_wider_than_a_tile_matches_the_dense_reference(su
     value, grad = dense_cosine_reference(y, p, (supervised_targets_oracle(labels), 0.5) if supervised else None)
     assert report.value == pytest.approx(value, rel=1e-12)
     assert np.max(np.abs(report.grad_y - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+SPECS = st.one_of(st.just(cosine_kernel()), st.floats(0.05, 8.0).map(gaussian_kernel))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 2 * TILE + 3), dim=st.integers(2, 5), spec=SPECS, supervised=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_loss_and_gradient_are_equivariant_under_a_permutation_of_the_rows(n, dim, spec, supervised, seed):
+    # one permutation of y's rows, p's rows and columns and the labels: a
+    # supervised batch is taken in label order, stable within each class,
+    # so the two runs add up their blocks in different orders
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, dim))
+    p = random_conditionals(rng, n)
+    labels = rng.integers(0, 5, size=n)
+    perm = rng.permutation(n)
+    sup, permuted_sup = ((labels, 0.5), (labels[perm], 0.5)) if supervised else (None, None)
+    report = pkt_loss_and_grad(y, p, spec, sup)
+    permuted = pkt_loss_and_grad(y[perm], p[np.ix_(perm, perm)], spec, permuted_sup)
+    bound = 1e-12
+    if spec.family == "cosine":  # a kernel k near 0 carries a relative error near 1e-16 / k; see test_small_tiles
+        k = kernel_matrix(y, spec)
+        bound /= np.min(k[~np.eye(n, dtype=bool)])
+    assert permuted.value == pytest.approx(report.value, rel=1e-12)
+    assert np.max(np.abs(permuted.grad_y - report.grad_y[perm])) <= bound * np.max(np.abs(report.grad_y))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 2 * TILE + 3), dim=st.integers(1, 5), width=st.floats(0.05, 8.0), supervised=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_gaussian_gradient_sums_to_zero_over_the_rows(n, dim, width, supervised, seed):
+    # the loss depends on y only through its squared distances, so moving
+    # every row by one vector leaves it unchanged; a coupling made of the
+    # wrong sums of a breaks this
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, dim))
+    p = random_conditionals(rng, n)
+    sup = (rng.integers(0, 5, size=n), 0.5) if supervised else None
+    grad = pkt_loss_and_grad(y, p, gaussian_kernel(width), sup).grad_y
+    assert np.all(np.abs(grad.sum(axis=0)) <= 1e-12 * np.abs(grad).sum(axis=0))
 
 
 @settings(max_examples=100, deadline=None)

@@ -79,22 +79,22 @@ GOLDEN = {
     "SkylakeX": {
         "cosine": {"parameters": "7e1f7585dfb6f244a85131ba8c62ed0098896d716b70a9bc0dcedef3b67b91b4",
                    "losses": "abbf501b184f954f2c4da6909cb25ab142303210593606f3cd8c0e6a18612d12"},
-        "gaussian_sup": {"parameters": "a9dd63db72efb26897ee671e390a249163ede81c97679e96ba0ebd4d9cb0dbb7",
-                         "losses": "1c06037760e61d0d65b706059d8d5950c33384bf5e7548b58479bd6da4a6e256"},
+        "gaussian_sup": {"parameters": "ffc3ca2d68d4f7e86efca2f72e5201099d10079ff0484c92d29aaf751be48764",
+                         "losses": "ee031f04eec5f7053a9db2ad1dc5e34caf8aaf282c375ff67c1dfc50978a94b3"},
         "cosine_blocks": {"parameters": "7d70f0336a7ad44dfea87e170938b073d5e5ebf762f3a3d098efa1a6df6c8156",
                           "losses": "f09507a42d2fccb56bb6b0be2a4b404ae9adb5b5c4334b3dcc5ccdd389f45ca0"},
-        "gaussian_wide_blocks": {"parameters": "2af747ab7fe69aa5f507e3331f480829a24d5074be7577e6fa7501a99be68dc5",
-                                 "losses": "847a7f3e41799cca259effabcbed5fa770cedad1ff637d9ccf7a9fbf62f101f2"},
+        "gaussian_wide_blocks": {"parameters": "d0ac1ab3324040d28fa595b8ac1321ec583a8516ccf97f7d7b0e9ecc07aa43f1",
+                                 "losses": "ccee3374a3d1b71f190fc5f5ab40774cf754e0a30906faa722d7576180260aba"},
     },
     "Haswell": {
         "cosine": {"parameters": "27b1c75cd9ff84bedb7ceaca97219ac971a35b6590bf675ed3b809bf1d0a6eb3",
                    "losses": "5e6fe41e85f3c7263cd2e2954cd9c0936d66491dd921976f6ad8a45c5725cf3b"},
-        "gaussian_sup": {"parameters": "01970b3b140f6208f8c514d899d6fe4af914942bbb56dd21fe81a9e419111a14",
-                         "losses": "ec2d5eb932776739bc4455c1eb6d9f78f1eab48d31f4621d18edec38ea8abb6b"},
+        "gaussian_sup": {"parameters": "dc0b4134e631f26898c62e23ed37753e9b914b07041f7bd964ff262388a2374a",
+                         "losses": "92e29ae1e823e516ce27641a80d3b2fd9fe988520efd62a03aa1c18a272ae4a2"},
         "cosine_blocks": {"parameters": "00392e48e806cd8a1bd8e741fa0dc733b08b077fced4907fe8e5bfa10558e7b0",
                           "losses": "b3012a4ccdc77880c57d07f7fa581bbc81f285b851ed642a946ebece8ada07fe"},
-        "gaussian_wide_blocks": {"parameters": "0f940e45ca39e2c620ecaf4791f12210c058890327a3753d250e91a451abedee",
-                                 "losses": "aad4248a9968ce70bbeb5ad7021a12e7b4b45edfd14505e86c3cc5e099c68c40"},
+        "gaussian_wide_blocks": {"parameters": "913a3ccf0de895db7508f0c264acb3d602becd1320f08592d6918066715d4b46",
+                                 "losses": "cce63b19f274587921d2ec700c4d8f096803350eb2dfbf5efef832b6fc76d7ca"},
     },
 }
 

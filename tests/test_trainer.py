@@ -194,6 +194,8 @@ def test_a_batch_of_several_column_blocks_matches_the_public_loss(monkeypatch, s
     assert len(seen) == 2
     for epoch, (y, report) in enumerate(seen):
         [idx] = sample_batch(batch, batch, cfg.seed, epoch)
+        if sup_weight > 0:  # the trainer gathers a supervised batch in label order
+            idx = idx[np.argsort(labels[idx], kind="stable")]
         sup = (labels[idx], sup_weight) if sup_weight > 0 else None
         public = pkt_loss_and_grad(y, conditional_probabilities(teacher[idx], specs[0]), specs[1], sup)
         assert report.value == pytest.approx(public.value, rel=1e-12)
