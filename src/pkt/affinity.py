@@ -9,7 +9,10 @@ Diagonals are identically zero, never NaN; self-pairs are excluded from
 every sum.
 
 Cosine conditionals are the kernel divided by its column sums, and a
-column whose mass falls below ``DENOM_FLOOR`` raises.  Gaussian
+column whose mass falls below ``DENOM_FLOOR`` raises.  They are built
+from the raw rows: each block of the Gram product is divided by the
+products of the guarded row norms, so no rows are divided by their
+norms, and an all-zero row still gets the neutral kernel 0.5.  Gaussian
 conditionals are normalized in the log domain, as in SNE (Hinton &
 Roweis, 2002): each column of logits ``-d^2 / width`` is shifted by its
 largest off-diagonal entry before the exponential, so every column sum
@@ -23,7 +26,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .kernels import (COSINE, LOGITS_OVERFLOW, TILE, KernelSpec, _column_blocks, _gram_tile, _kernel_of_gram,
-                      _logits_of_rows, _prepared_rows)
+                      _logits_of_rows, _row_stats)
 
 # A cosine conditioning column whose off-diagonal kernel mass falls below
 # this is geometrically degenerate (every partner at affinity ~0).
@@ -45,26 +48,32 @@ def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec,
                           q_out: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(cs, a, q, c)`` for each of the :func:`_column_blocks` ``cs``, whose N x c conditionals are cosine ``q`` or Gaussian ``q / c``.
 
-    The rows come from :func:`_prepared_rows` with their statistics.  The
+    The rows are a float N x D matrix with their :func:`_row_stats`.  The
     self-pairs of block ``cs`` are the diagonal of its rows ``cs``.
     Cosine: ``a`` is the kernel with zero self-pairs, ``c`` its column
-    sums and ``q = a / c``; ``q_out`` may be ``out``.  Gaussian: ``a``
-    holds the logits less their column maxima, with zero self-pairs, ``q``
-    their exponentials, 0 on the self-pairs, and ``c`` q's column sums:
-    the conditionals are ``q / c``.  ``q_out`` is not ``out``; it holds a
-    wide block's Gram product until ``q`` is written.  ``a`` and ``q`` are
-    views at the start of the flat float arrays ``out`` and ``q_out``, of
-    at least N * min(N, TILE) entries each, which the next block overwrites.
+    sums and ``q = a / c``; the cosines are the Gram block over the
+    outer product ``s_i * s_j`` of the guarded norms, which is formed
+    first, so ``(i, j)`` and ``(j, i)`` are divided by the same number.
+    Gaussian: ``a`` holds the logits less their column maxima, with zero
+    self-pairs, ``q`` their exponentials, 0 on the self-pairs, and ``c``
+    q's column sums: the conditionals are ``q / c``.  ``q_out`` is not
+    ``out``; it holds a block's norm products or a wide block's Gram
+    product until ``q`` is written.  ``a`` and ``q`` are views at the
+    start of the flat float arrays ``out`` and ``q_out``, of at least
+    N * min(N, TILE) entries each, which the next block overwrites.
     """
     n = rows.shape[0]
     if spec.family == COSINE:
         for cs in _column_blocks(n):
-            a = _kernel_of_gram(_gram_tile(rows, rows, slice(0, n), cs, out), stats, stats[cs], spec)
+            g = _gram_tile(rows, rows, slice(0, n), cs, out)
+            norms = np.multiply.outer(stats, stats[cs], out=q_out[: g.size].reshape(g.shape))
+            g /= norms
+            a = _kernel_of_gram(g, stats, stats[cs], spec)
             np.fill_diagonal(a[cs], 0.0)
             c = a.sum(axis=0)
             if np.any(c < DENOM_FLOOR):
                 raise ValueError("degenerate geometry: a conditioning slot has near-zero kernel mass")
-            yield cs, a, np.divide(a, c[None, :], out=q_out[: a.size].reshape(a.shape)), c
+            yield cs, a, np.divide(a, c[None, :], out=norms), c
         return
     for cs, a in _logits_of_rows(rows, stats, spec.width, out, q_out):
         # The largest off-diagonal logit of each column becomes 0, so its
@@ -83,11 +92,11 @@ def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec,
 
 def conditional_probabilities(feats: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Column-stochastic conditional matrix; each slot sums to 1 over its non-self partners."""
-    rows, stats = _prepared_rows(_checked_features(feats), spec)
+    rows = _checked_features(feats)
     n = rows.shape[0]
     q = np.empty((n, n))
     out, q_out = np.empty((2, n * min(n, TILE)))
-    for cs, _, block, c in _conditionals_of_rows(rows, stats, spec, out, q_out):
+    for cs, _, block, c in _conditionals_of_rows(rows, _row_stats(rows, spec), spec, out, q_out):
         q[:, cs] = block if spec.family == COSINE else block / c
     return q
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import _checked_features, _conditionals_of_rows
-from .kernels import COSINE, NORM_EPS, TILE, KernelSpec, _column_blocks, _prepared_rows
+from .kernels import COSINE, NORM_EPS, TILE, KernelSpec, _column_blocks, _row_stats
 
 # Floor applied to cosine student conditionals and to kl_loss's q inside
 # the log; far below any conditional reachable with cosine kernels at
@@ -176,7 +176,10 @@ def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[
     ``bufs`` comes from :func:`_block_buffers`; ``sup`` is None or has a
     positive weight and labels sorted by class.
     """
-    rows, stats = _prepared_rows(_checked_features(y), spec)
+    y = _checked_features(y)
+    stats = _row_stats(y, spec)
+    student = _conditionals_of_rows(y, stats, spec, bufs[2], bufs[3])
+    rows = y / stats[:, None] if spec.family == COSINE else y  # the cosine gradient takes unit rows
     n = rows.shape[0]
     p_log_p = sup_log = cross = 0.0
     if sup is not None:
@@ -185,7 +188,6 @@ def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[
         sup_log = weight * t_log_t
     ay, aty, row_terms, col_terms = np.zeros_like(rows), np.empty_like(rows), np.zeros(n), np.empty(n)
     block_terms = _cosine_block if spec.family == COSINE else _gaussian_block
-    student = _conditionals_of_rows(rows, stats, spec, bufs[2], bufs[3])
     for (cs, p, part), (_, s, q, c) in zip(teacher_blocks, student):
         p_log_p += part
         p_eff = p if sup is None else _supervised_into(p, cs, bounds, weight)

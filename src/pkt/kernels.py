@@ -227,7 +227,9 @@ def _kernel_of_gram(g: np.ndarray, stats_a: np.ndarray, stats_b: np.ndarray, spe
                     out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values from the Gram product ``g = a @ b.T`` of prepared rows and their statistics.
 
-    The values are written into ``out``: ``g`` itself when None for the
+    For the cosine kernel, ``g`` is any matrix of cosines, such as a Gram
+    product of raw rows over their norm products, and the statistics are
+    not read.  The values are written into ``out``: ``g`` itself when None for the
     cosine kernel, a new array for the Gaussian.  ``g`` is overwritten.
     Each step is one pass in the order of :func:`_gram_logits`' exponential
     ``exp(-clip(sa + sb - 2g, 0) / width)`` or ``(clip(g, -1, 1) + 1) / 2``,

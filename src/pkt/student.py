@@ -122,8 +122,8 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
-    # two scratch arrays per parameter, so a step allocates nothing
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False, repr=False)
+    # one scratch array per parameter, so a step allocates nothing
+    scratch: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.lr) or self.lr <= 0:
@@ -134,7 +134,7 @@ def init_adam(params: list[np.ndarray], lr: float = 1e-4) -> AdamState:
     state = AdamState(lr=lr)
     state.m = [np.zeros_like(p) for p in params]
     state.v = [np.zeros_like(p) for p in params]
-    state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    state.scratch = [np.empty_like(p) for p in params]
     return state
 
 
@@ -143,8 +143,13 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
 
     The arithmetic is ``m = BETA1 m + (1 - BETA1) g``,
     ``v = BETA2 v + (1 - BETA2) g^2`` and
-    ``p -= (lr * (m / c1)) / (sqrt(v / c2) + EPS)``, in that order; only
-    the storage of the intermediates is reused.
+    ``p -= (lr sqrt(c2) / c1) * (m / (sqrt(v) + EPS sqrt(c2)))``, in that
+    order; only the storage of the intermediates is reused.  The last
+    step is Algorithm 1's ``(lr * (m / c1)) / (sqrt(v / c2) + EPS)`` with
+    numerator and denominator multiplied by ``sqrt(c2)``, the order
+    Kingma & Ba give at the end of their section 2: equal in exact
+    arithmetic, and per entry one division and one square root where
+    Algorithm 1 takes three divisions and one.
     """
     if not len(params) == len(grads) == len(state.m) == len(state.v) == len(state.scratch):
         raise ValueError("parameter/gradient lists do not match the optimizer state")
@@ -152,8 +157,9 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         raise ValueError("gradient shape mismatch")
     state.step += 1
     c1 = 1.0 - BETA1 ** state.step
-    c2 = 1.0 - BETA2 ** state.step
-    for p, g, m, v, (step, den) in zip(params, grads, state.m, state.v, state.scratch):
+    root_c2 = np.sqrt(1.0 - BETA2 ** state.step)
+    step_size, eps = state.lr * root_c2 / c1, EPS * root_c2
+    for p, g, m, v, step in zip(params, grads, state.m, state.v, state.scratch):
         m *= BETA1
         np.multiply(g, 1.0 - BETA1, out=step)
         m += step
@@ -161,12 +167,10 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         np.multiply(g, g, out=step)
         step *= 1.0 - BETA2
         v += step
-        np.divide(m, c1, out=step)
-        step *= state.lr
-        np.divide(v, c2, out=den)
-        np.sqrt(den, out=den)
-        den += EPS
-        step /= den
+        np.sqrt(v, out=step)
+        step += eps
+        np.divide(m, step, out=step)
+        step *= step_size
         p -= step
     return state
 

@@ -4,15 +4,21 @@ and student conditional matrices, analytic gradient, backprop, Adam.
 The raw inputs are checked, and the teacher features reduced to one
 statistic per row (its norm for the cosine kernel, its squared norm for
 the Gaussian), once per run, before any step.  Each batch then gathers
-its B teacher rows and builds their conditionals from those statistics
-(Gaussian ones in the log domain) one block of ``TILE`` conditioning
-columns at a time, with the block's part of the ``sum p log p`` the loss
+its B raw teacher rows and builds their conditionals from those
+statistics one block of ``TILE`` conditioning columns at a time (cosine
+ones by dividing each Gram block by the products of the cached norms,
+so the gathered rows are never normalized; Gaussian ones in the log
+domain), with the block's part of the ``sum p log p`` the loss
 value needs, and the loss takes each block as it comes.  So training
 holds O(N) statistics, O(B*D) rows per batch and four B x TILE blocks
 per run, never a B x B array or a second N x D copy of the teacher, and
 matches the batch-wise estimation of the full similarity structure.
 Class labels are only touched when ``sup_weight > 0``, to gather each
-batch in the stable order of its labels and add their targets.
+batch in the stable order of its labels and add their targets.  A
+Gaussian loss depends only on differences of the embeddings, so the
+gradient of a Gaussian student's output bias is 0 in exact arithmetic;
+it is set to 0, or Adam would turn its rounding noise into steps of up
+to ``lr``.
 """
 
 from __future__ import annotations
@@ -90,18 +96,18 @@ def _teacher_blocks(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray, spe
                     bufs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, float]]:
     """The teacher blocks ``(cs, p, part)`` of ``divergence._batch_loss`` for the batch ``idx``, from the cached row statistics.
 
-    ``p`` is built in ``bufs[0]``.  A cosine block's ``part`` of
-    ``sum p log p`` takes its logs in ``bufs[1]``; Gaussian logits are
-    built there, ``p`` is their exponentials over the column sums, and
-    ``part`` is one dot product of ``p`` with them, less the log sums.
+    ``p`` is built in ``bufs[0]`` from the gathered raw rows, with
+    ``bufs[1]`` as scratch.  A cosine block's ``part`` of ``sum p log p``
+    takes its logs in ``bufs[1]``; Gaussian logits are built there, ``p``
+    is their exponentials over the column sums, and ``part`` is one dot
+    product of ``p`` with them, less the log sums.
     """
-    rows, batch_stats = teacher[idx], stats[idx]
+    blocks = _conditionals_of_rows(teacher[idx], stats[idx], spec, bufs[1], bufs[0])
     if spec.family == COSINE:
-        rows /= batch_stats[:, None]
-        for cs, _, p, _ in _conditionals_of_rows(rows, batch_stats, spec, bufs[0], bufs[0]):
+        for cs, _, p, _ in blocks:
             yield cs, p, _sum_x_log_x(p, cs, bufs[1])
         return
-    for cs, shifted, e, colsums in _conditionals_of_rows(rows, batch_stats, spec, bufs[1], bufs[0]):
+    for cs, shifted, e, colsums in blocks:
         p = np.divide(e, colsums, out=e)
         yield cs, p, float(np.dot(p.ravel(), shifted.ravel())) - float(np.log(colsums).sum())
 
@@ -131,6 +137,8 @@ def train(
         if labels is None:
             raise ValueError("sup_weight > 0 requires labels")
         labels = np.asarray(labels)
+        if labels.ndim != 1:
+            raise ValueError(f"supervised labels of shape {labels.shape} are not one label per student row")
         if labels.shape[0] != n:
             raise ValueError("label count does not match the inputs")
     for start in range(0, n, cfg.batch_size):
@@ -153,7 +161,11 @@ def train(
                 report = _batch_loss(y, cfg.student_spec, blocks, sup, bufs)
                 if not (np.isfinite(report.value) and np.all(np.isfinite(report.grad_y))):
                     raise ValueError("the loss or its gradient is not finite")
-                adam_step(state, model.parameters(), model.backward(report.grad_y))
+                grads = model.backward(report.grad_y)
+                if cfg.student_spec.family != COSINE:  # a Gaussian loss is blind to a shift of every row
+                    grads[-1].fill(0.0)
+                adam_step(state, model.parameters(), grads)
+                del grads  # not held through the next batch
             except ValueError as exc:
                 raise BatchFailure(f"epoch {epoch} batch {b}: {exc}", trace) from exc
             trace.append(TraceEntry(epoch=epoch, batch=b, loss=report.value))

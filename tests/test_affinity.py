@@ -17,7 +17,7 @@ from pkt import (
     train,
 )
 from pkt.affinity import _conditionals_of_rows
-from pkt.kernels import _prepared_rows
+from pkt.kernels import NORM_EPS, TILE, _row_stats
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -73,12 +73,37 @@ def test_cosine_conditionals_ignore_per_row_scale(seed, n, dim):
     assert np.max(np.abs(scaled - q)) <= 1e-12
 
 
+def unit_row_cosine_conditionals(x):
+    # the dense definition: guarded unit rows, their N x N kernel, columns normalized
+    u = x / np.maximum(np.linalg.norm(x, axis=1), NORM_EPS)[:, None]
+    k = (np.clip(u @ u.T, -1.0, 1.0) + 1.0) / 2.0
+    np.fill_diagonal(k, 0.0)
+    return k / k.sum(axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 2 * TILE + 3), dim=st.integers(1, 8),
+       log_scale=st.floats(-6.0, 6.0), zero=st.integers(0, 2 * TILE + 2))
+def test_cosine_conditionals_match_the_unit_row_definition(seed, n, dim, log_scale, zero):
+    # one row is all zeros: it has the neutral kernel 0.5 against every other row
+    x = np.random.default_rng(seed).normal(size=(n, dim)) * 10.0 ** log_scale
+    zero %= n
+    x[zero] = 0.0
+    assert np.max(np.abs(conditional_probabilities(x, cosine_kernel()) - unit_row_cosine_conditionals(x))) <= 1e-15
+    out, q_out = np.empty((2, n * min(n, TILE)))
+    k = np.empty((n, n))
+    for cs, a, _, _ in _conditionals_of_rows(x, _row_stats(x, cosine_kernel()), cosine_kernel(), out, q_out):
+        k[:, cs] = a
+    others = np.arange(n) != zero
+    assert np.all(k[zero, others] == 0.5) and np.all(k[others, zero] == 0.5)
+
+
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(1.5)], ids=["cosine", "gaussian"])
 def test_conditionals_of_rows_consistency(spec):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(9, 3))
     out, q_out = np.full((2, 81), np.nan)
-    [(cs, a, q, c)] = _conditionals_of_rows(*_prepared_rows(x, spec), spec, out, q_out)  # 9 rows: one block
+    [(cs, a, q, c)] = _conditionals_of_rows(x, _row_stats(x, spec), spec, out, q_out)  # 9 rows: one block
     assert cs == slice(0, 9) and np.shares_memory(a, out) and np.shares_memory(q, q_out)
     assert np.all(np.diag(a) == 0.0)
     if spec.family == COSINE:

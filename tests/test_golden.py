@@ -77,23 +77,23 @@ CORE = openblas_core()
 
 GOLDEN = {
     "SkylakeX": {
-        "cosine": {"parameters": "7e1f7585dfb6f244a85131ba8c62ed0098896d716b70a9bc0dcedef3b67b91b4",
-                   "losses": "abbf501b184f954f2c4da6909cb25ab142303210593606f3cd8c0e6a18612d12"},
-        "gaussian_sup": {"parameters": "ffc3ca2d68d4f7e86efca2f72e5201099d10079ff0484c92d29aaf751be48764",
-                         "losses": "ee031f04eec5f7053a9db2ad1dc5e34caf8aaf282c375ff67c1dfc50978a94b3"},
-        "cosine_blocks": {"parameters": "7d70f0336a7ad44dfea87e170938b073d5e5ebf762f3a3d098efa1a6df6c8156",
-                          "losses": "f09507a42d2fccb56bb6b0be2a4b404ae9adb5b5c4334b3dcc5ccdd389f45ca0"},
-        "gaussian_wide_blocks": {"parameters": "d0ac1ab3324040d28fa595b8ac1321ec583a8516ccf97f7d7b0e9ecc07aa43f1",
-                                 "losses": "ccee3374a3d1b71f190fc5f5ab40774cf754e0a30906faa722d7576180260aba"},
+        "cosine": {"parameters": "fe8f65b2b7d9c7a8be548445894d513e22d3dfd49f04f2aebf0fc222a7e96e9e",
+                   "losses": "a707885903bb31c65c96a47d583753abcdeed987085a49c2b5fff32098366567"},
+        "gaussian_sup": {"parameters": "2b80d9b0a864890c0a719db149874af395ab6845993478c36c32c47057e76e41",
+                         "losses": "43dc41d3256b9e622e5f20ba8b82b55030b4dd153d28fcf8200b7fa547418831"},
+        "cosine_blocks": {"parameters": "0e1110e78462cd8dd46da7868d40d551bd0408ff66bed845c7cbdeffe3a0be9c",
+                          "losses": "0e2813a4c13d75f31c1f8ab803dea0546352be0639f6185b38485c2d9dcabb30"},
+        "gaussian_wide_blocks": {"parameters": "f0744acfbeaa385b02bee50d994333033dc8a29bbc134c00d041701fa4963869",
+                                 "losses": "1385161b6670c81a1b65418cb335e3c105feb27fce9cb8d6569f3aaf640a9514"},
     },
     "Haswell": {
-        "cosine": {"parameters": "27b1c75cd9ff84bedb7ceaca97219ac971a35b6590bf675ed3b809bf1d0a6eb3",
-                   "losses": "5e6fe41e85f3c7263cd2e2954cd9c0936d66491dd921976f6ad8a45c5725cf3b"},
-        "gaussian_sup": {"parameters": "dc0b4134e631f26898c62e23ed37753e9b914b07041f7bd964ff262388a2374a",
-                         "losses": "92e29ae1e823e516ce27641a80d3b2fd9fe988520efd62a03aa1c18a272ae4a2"},
-        "cosine_blocks": {"parameters": "00392e48e806cd8a1bd8e741fa0dc733b08b077fced4907fe8e5bfa10558e7b0",
-                          "losses": "b3012a4ccdc77880c57d07f7fa581bbc81f285b851ed642a946ebece8ada07fe"},
-        "gaussian_wide_blocks": {"parameters": "913a3ccf0de895db7508f0c264acb3d602becd1320f08592d6918066715d4b46",
+        "cosine": {"parameters": "0190127bff584d86feaecd72a660208732ddfccd8d7d4c4ff89037787fd98934",
+                   "losses": "a2b36292e877716c83f077758f3e91555b9a251548354779f1b13873a16181ee"},
+        "gaussian_sup": {"parameters": "932e71ec3c9445d50c41580881b66408a8a94de6ed7ab2ae52d463b0f209064e",
+                         "losses": "52f77f100350e1687e959a68b67b5ed454ce294e20d20dc78caf394e9d8179b5"},
+        "cosine_blocks": {"parameters": "8c08f831636090532bbf0bf7f0578e8fc32fc955af964b95c927eb6b8b8c6a0e",
+                          "losses": "b9b45dd4c7219786c9e5e120b28755da8f527d135fe709c3123f475111da5709"},
+        "gaussian_wide_blocks": {"parameters": "3ccff0df4f884a18088d99c7ca99b024287cf6975de8e90e57cae845191dadae",
                                  "losses": "cce63b19f274587921d2ec700c4d8f096803350eb2dfbf5efef832b6fc76d7ca"},
     },
 }

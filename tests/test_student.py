@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,13 +178,11 @@ def reference_adam_step(state, params, grads):
     # the out-of-place update the in-place one must reproduce bit for bit
     state.step += 1
     c1 = 1.0 - BETA1 ** state.step
-    c2 = 1.0 - BETA2 ** state.step
+    root_c2 = np.sqrt(1.0 - BETA2 ** state.step)
     for i, (p, g) in enumerate(zip(params, grads)):
         state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
         state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        p -= (state.lr * root_c2 / c1) * (state.m[i] / (np.sqrt(state.v[i]) + EPS * root_c2))
 
 
 def test_adam_in_place_matches_reference_bitwise():
@@ -200,6 +199,45 @@ def test_adam_in_place_matches_reference_bitwise():
         for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
             assert got.tobytes() == want.tobytes()
     assert state.step == ref_state.step == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 200), log_scale=st.floats(-12.0, 3.0),
+       zero_share=st.sampled_from([0.0, 0.3, 1.0]), lr=st.sampled_from([1e-4, 1e-2, 0.5]))
+def test_adam_steps_match_algorithm_1(seed, steps, log_scale, zero_share, lr):
+    # Kingma & Ba's Algorithm 1 divides m and v by their bias corrections;
+    # the step taken scales both by sqrt(c2) instead, which differs from it
+    # by rounding alone.  The parameters are zeroed before each step, so
+    # each holds minus its own update exactly.
+    rng = np.random.default_rng(seed)
+    shapes = [(6, 4), (4,), (1,)]
+    params = [np.zeros(s) for s in shapes]
+    state = init_adam(params, lr=lr)
+    for _ in range(steps):
+        grads = [rng.normal(size=s) * 10.0 ** log_scale * (rng.uniform(size=s) >= zero_share) for s in shapes]
+        for p in params:
+            p.fill(0.0)
+        adam_step(state, params, grads)
+        c1, c2 = 1.0 - BETA1 ** state.step, 1.0 - BETA2 ** state.step
+        for p, m, v in zip(params, state.m, state.v):
+            want = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+            assert np.all(np.abs(-p - want) <= 4e-15 * np.abs(want))
+    assert state.step == steps
+
+
+def test_adam_step_allocates_no_array():
+    rng = np.random.default_rng(5)
+    params = [rng.normal(size=s) for s in [(64, 32), (512,), (32, 16), (1024,)]]
+    grads = [rng.normal(size=p.shape) for p in params]
+    state = init_adam(params)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            adam_step(state, params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < min(p.nbytes for p in params)  # 4 KB; the loop's own objects take well under 1 KB
 
 
 def test_adam_validation():

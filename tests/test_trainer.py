@@ -234,6 +234,33 @@ def test_non_finite_raw_inputs_rejected_before_any_step(bad):
     assert all(np.array_equal(p, b) for p, b in zip(model.parameters(), before))
 
 
+def test_labels_that_are_not_one_dimensional_are_rejected_before_any_step():
+    raw, teacher, labels = small_problem(n=40)
+    model = init_student([6, 4], seed=0)
+    before = [p.copy() for p in model.parameters()]
+    with pytest.raises(ValueError, match=r"^supervised labels of shape \(40, 1\) are not one label per student row$"):
+        train(model, raw, teacher, labels[:, None], TrainConfig(batch_size=8, sup_weight=0.5))
+    assert all(np.array_equal(p, b) for p, b in zip(model.parameters(), before))
+
+
+@pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0)], ids=["cosine", "gaussian"])
+def test_only_a_cosine_student_moves_its_output_bias(spec):
+    # a Gaussian loss depends on differences of the embeddings alone, so
+    # the output bias has no gradient and takes no step; a cosine one does
+    raw, teacher, labels = small_problem(n=60)
+    model = init_student([6, 8, 4], seed=0)
+    before = [p.copy() for p in model.parameters()]
+    cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-2, seed=3, teacher_spec=spec, student_spec=spec,
+                      sup_weight=0.5)
+    train(model, raw, teacher, labels, cfg)
+    *moved, bias = [np.max(np.abs(p - b)) for p, b in zip(model.parameters(), before)]
+    assert min(moved) > 0.0
+    if spec.family == "gaussian":
+        assert model.biases[-1].tobytes() == before[-1].tobytes()
+    else:
+        assert bias > 0.0
+
+
 def test_failing_batch_names_epoch_and_batch():
     # a huge step overflows the student's output during batch 1
     rng = np.random.default_rng(0)
