@@ -113,8 +113,7 @@ def sample_batch(n_total: int, batch_size: int, rng_seed: int, epoch: int) -> li
         raise ValueError("batch_size must be at least 2")
     if batch_size > n_total:
         raise ValueError("batch_size cannot exceed the number of samples")
-    rng = np.random.default_rng([rng_seed, epoch])
-    perm = rng.permutation(n_total)
+    perm = np.random.default_rng([rng_seed, epoch]).permutation(n_total)
     chunks = [perm[i : i + batch_size] for i in range(0, n_total, batch_size)]
     if len(chunks[-1]) < 2:
         chunks.pop()

@@ -1,7 +1,8 @@
 """Command-line entry points: transfer, embed, eval, qmi, gradcheck.
 
 Exit codes: 0 success, 1 precondition or validation failure, 2 I/O
-failure.  ``pkt eval`` reports the queries it skipped on stderr.
+failure.  Flags are checked before any file is read, so a flag error
+wins over a missing file.  ``pkt eval`` reports skipped queries on stderr.
 """
 
 from __future__ import annotations
@@ -41,27 +42,29 @@ def _kernel_spec(family: str, width: float | None, flag: str) -> KernelSpec:
     return gaussian_kernel(width)
 
 
-def cmd_transfer(args) -> int:
-    raw = featio.read_features(args.input)
-    teacher = featio.read_features(args.teacher)
-    labels = featio.read_labels(args.labels) if args.labels else None
+def _int_list(text: str, flag: str) -> list[int]:
     try:
-        arch = [int(tok) for tok in args.arch.split(",") if tok]
+        return [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise CliError(f"--arch must be a comma-separated list of integers, got {args.arch!r}") from None
+        raise CliError(f"{flag} must be a comma-separated list of integers, got {text!r}") from None
+
+
+def cmd_transfer(args) -> int:
+    arch = _int_list(args.arch, "--arch")
     if not arch:
         raise CliError("--arch must name at least the output dimension")
-    teacher_spec = _kernel_spec(args.kernel, args.sigma_t, "--sigma-t")
-    student_spec = _kernel_spec(args.kernel, args.sigma_s, "--sigma-s")
     cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         lr=args.lr,
-        teacher_spec=teacher_spec,
-        student_spec=student_spec,
+        teacher_spec=_kernel_spec(args.kernel, args.sigma_t, "--sigma-t"),
+        student_spec=_kernel_spec(args.kernel, args.sigma_s, "--sigma-s"),
         sup_weight=args.sup_weight,
         seed=args.seed,
     )
+    raw = featio.read_features(args.input)
+    teacher = featio.read_features(args.teacher)
+    labels = featio.read_labels(args.labels) if args.labels else None
     model = init_student([raw.shape[1]] + arch, seed=args.seed)
     try:
         model, trace = train(model, raw, teacher, labels, cfg)
@@ -89,15 +92,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    ks = _int_list(args.top_k, "--top-k") if args.top_k else []
     index = RetrievalIndex(featio.read_features(args.db), featio.read_labels(args.db_labels))
     queries = featio.read_features(args.queries)
     query_labels = featio.read_labels(args.query_labels)
-    ks = []
-    if args.top_k:
-        try:
-            ks = [int(tok) for tok in args.top_k.split(",") if tok]
-        except ValueError:
-            raise CliError(f"--top-k must be a comma-separated list of integers, got {args.top_k!r}") from None
     result = evaluate(index, queries, query_labels, ks)
     print(f"mAP {100.0 * result.map:.4f}")
     for k, precision in result.top_k.items():
@@ -108,9 +106,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_qmi(args) -> int:
+    spec = _kernel_spec(args.kernel, args.sigma, "--sigma")
     feats = featio.read_features(args.features)
     labels = featio.read_labels(args.labels)
-    spec = _kernel_spec(args.kernel, args.sigma, "--sigma")
     pots = information_potentials(feats, labels, spec)
     print(f"v_in {pots.v_in:.17g}")
     print(f"v_all {pots.v_all:.17g}")

@@ -27,13 +27,13 @@ blocks, never an N x N array.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .affinity import _checked_features, _conditionals_of_rows
-from .kernels import COSINE, NORM_EPS, TILE, KernelSpec, _column_blocks, _row_stats
+from .kernels import COSINE, NORM_EPS, TILE, KernelSpec, _column_blocks, _prepared_rows
 
 # Floor applied to cosine student conditionals and to kl_loss's q inside
 # the log; far below any conditional reachable with cosine kernels at
@@ -98,8 +98,31 @@ def _sum_x_log_x(m: np.ndarray, cs: slice, buf: np.ndarray) -> float:
 
 
 def _block_buffers(n: int) -> np.ndarray:
-    """The four flat float arrays that :func:`_batch_loss` works in, for batches of up to n rows."""
+    """The four flat float arrays that :func:`_batch_loss` works in, for batches of up to n rows.
+
+    A block's teacher conditionals go into ``bufs[0]``, with ``bufs[1]`` as
+    scratch, then the cosine loss's; the student's go into ``bufs[2:]``.
+    """
     return np.empty((4, n * min(n, TILE)))
+
+
+def _teacher_blocks(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec,
+                    bufs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, float]]:
+    """The teacher blocks ``(cs, p, part)`` of :func:`_batch_loss` from a batch's raw rows and their row statistics.
+
+    A cosine block's ``part`` of ``sum p log p`` takes its logs in
+    ``bufs[1]``; Gaussian logits are built there, ``p`` is their
+    exponentials over the column sums, and ``part`` is one dot product of
+    ``p`` with them, less the log sums.
+    """
+    blocks = _conditionals_of_rows(rows, stats, spec, bufs[1], bufs[0])
+    if spec.family == COSINE:
+        for cs, _, p, _ in blocks:
+            yield cs, p, _sum_x_log_x(p, cs, bufs[1])
+        return
+    for cs, shifted, e, colsums in blocks:
+        p = np.divide(e, colsums, out=e)
+        yield cs, p, float(np.dot(p.ravel(), shifted.ravel())) - float(np.log(colsums).sum())
 
 
 def pkt_loss_and_grad(
@@ -172,14 +195,13 @@ def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[
     ``teacher_blocks`` yields ``(cs, p, part)`` for each of the
     :func:`_column_blocks` ``cs`` in order: the N x c teacher
     conditionals ``p[:, cs]``, which the targets are added into, and the
-    block's part of ``sum p log p``, after which ``bufs[1]`` is free.
-    ``bufs`` comes from :func:`_block_buffers`; ``sup`` is None or has a
-    positive weight and labels sorted by class.
+    block's part of ``sum p log p``.  ``bufs`` comes from
+    :func:`_block_buffers`; ``sup`` is None or has a positive weight and
+    labels sorted by class.
     """
     y = _checked_features(y)
-    stats = _row_stats(y, spec)
+    rows, stats = _prepared_rows(y, spec)  # the cosine gradient takes unit rows
     student = _conditionals_of_rows(y, stats, spec, bufs[2], bufs[3])
-    rows = y / stats[:, None] if spec.family == COSINE else y  # the cosine gradient takes unit rows
     n = rows.shape[0]
     p_log_p = sup_log = cross = 0.0
     if sup is not None:

@@ -89,8 +89,10 @@ def read_features(path) -> np.ndarray:
     try:
         with open(path) as fh:
             n, d = _read_header(path, fh)
-            try:
-                data = np.loadtxt(_data_lines(fh, n), dtype=float, comments=None, ndmin=2)
+            lines = _data_lines(fh, n)
+            try:  # max_rows: numpy allocates the n x d array once instead of growing it by reallocs
+                data = np.loadtxt(lines, dtype=float, comments=None, ndmin=2, max_rows=n)
+                next(lines, None)  # numpy stops after n rows; this checks the lines after them
             except (_Irregular, ValueError):
                 data = None
         if data is None or data.shape != (n, d):
@@ -109,9 +111,8 @@ def write_rows(fh, rows: np.ndarray) -> None:
 
 def write_features(path, feats: np.ndarray) -> None:
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
-    n, d = feats.shape
     with open(path, "w") as fh:
-        fh.write(f"{n} {d}\n")
+        fh.write("%d %d\n" % feats.shape)
         write_rows(fh, feats)
 
 

@@ -42,8 +42,8 @@ LOGITS_OVERFLOW = "Gaussian logits overflow: squared distances divided by the wi
 TILE = 128
 
 # Gaussian logits of rows with at most this many features come from one
-# product of augmented rows; wider rows take x @ x.T, whose same-array BLAS
-# path (syrk) computes one triangle and is the faster there.
+# product of augmented rows; wider rows take Gram products of all rows by each
+# block's rows, numpy's faster same-array syrk (one triangle) only at B <= TILE.
 AUGMENTED_MAX_DIM = 128
 
 
@@ -68,10 +68,6 @@ def cosine_kernel() -> KernelSpec:
 
 def gaussian_kernel(width: float) -> KernelSpec:
     return KernelSpec(GAUSSIAN, float(width))
-
-
-def _safe_norms(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.linalg.norm(x, axis=-1), NORM_EPS)
 
 
 def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -113,7 +109,7 @@ def _row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     other rows share the array, as long as the rows are C-contiguous.
     """
     if spec.family == COSINE:
-        return _safe_norms(x)
+        return np.maximum(np.linalg.norm(x, axis=-1), NORM_EPS)
     return np.einsum("ij,ij->i", x, x)
 
 

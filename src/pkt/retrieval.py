@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _safe_norms
+from .kernels import _prepared_rows, cosine_kernel
 
 # Queries ranked per matrix product: each holds QUERY_BLOCK x N entries.
 QUERY_BLOCK = 64
@@ -53,10 +53,6 @@ class RetrievalResult:
     top_k: dict[int, float]
     per_query_ap: list[float]
     n_skipped: int
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / _safe_norms(x)[:, None]
 
 
 def _hit_ranks(queries: np.ndarray, db: np.ndarray, relevant: np.ndarray, n_rel: np.ndarray,
@@ -159,8 +155,8 @@ def evaluate(
             raise ValueError(f"top-k value {k!r} is not an integer in 1..{index.db_feats.shape[0]}")
     ks = list(dict.fromkeys(ks))  # after the check: a bool would fold into an equal int
 
-    db_unit = _unit_rows(index.db_feats)
-    neg_queries = -_unit_rows(queries)  # negation is exact, so the keys are the negated cosines bit for bit
+    db_unit = _prepared_rows(index.db_feats, cosine_kernel())[0]
+    neg_queries = -_prepared_rows(queries, cosine_kernel())[0]  # negation is exact, so the keys are the negated cosines bit for bit
     size = min(QUERY_BLOCK, queries.shape[0]) * db_unit.shape[0]
     keys_buf, ranks_buf = np.empty(size), np.empty(size, dtype=np.intp)
     aps: list[float] = []

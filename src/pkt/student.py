@@ -28,6 +28,8 @@ class StudentModel:
         n_layers = len(self.layer_dims) - 1
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
+        if len(self.weights) != n_layers or len(self.biases) != n_layers:
+            raise ValueError(f"weight and bias counts must equal len(layer_dims) - 1 = {n_layers}")
         for i in range(n_layers):
             if self.weights[i].shape != (self.layer_dims[i], self.layer_dims[i + 1]):
                 raise ValueError("weight shapes incompatible with layer_dims")

@@ -4,33 +4,29 @@ and student conditional matrices, analytic gradient, backprop, Adam.
 The raw inputs are checked, and the teacher features reduced to one
 statistic per row (its norm for the cosine kernel, its squared norm for
 the Gaussian), once per run, before any step.  Each batch then gathers
-its B raw teacher rows and builds their conditionals from those
-statistics one block of ``TILE`` conditioning columns at a time (cosine
-ones by dividing each Gram block by the products of the cached norms,
-so the gathered rows are never normalized; Gaussian ones in the log
-domain), with the block's part of the ``sum p log p`` the loss
-value needs, and the loss takes each block as it comes.  So training
-holds O(N) statistics, O(B*D) rows per batch and four B x TILE blocks
-per run, never a B x B array or a second N x D copy of the teacher, and
-matches the batch-wise estimation of the full similarity structure.
-Class labels are only touched when ``sup_weight > 0``, to gather each
-batch in the stable order of its labels and add their targets.  A
-Gaussian loss depends only on differences of the embeddings, so the
-gradient of a Gaussian student's output bias is 0 in exact arithmetic;
-it is set to 0, or Adam would turn its rounding noise into steps of up
-to ``lr``.
+its B raw teacher rows, and the loss builds their conditionals from
+those statistics (``divergence._teacher_blocks``).  Inputs are read in
+their own dtype, and only blocks and batches of rows are converted to
+float64.  So training holds O(N) statistics, O(B*D) rows per batch and
+the loss's blocks, never a B x B array or a second N x D copy of the
+teacher, and matches the batch-wise estimation of the full similarity
+structure.  Class labels are only touched when ``sup_weight > 0``, to
+gather each batch in the stable order of its labels and add their
+targets.  A Gaussian loss depends only on differences of the
+embeddings, so the gradient of a Gaussian student's output bias is 0 in
+exact arithmetic; it is set to 0, or Adam would turn its rounding noise
+into steps of up to ``lr``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import _conditionals_of_rows, sample_batch
+from .affinity import sample_batch
 from .affinity import conditional_probabilities  # noqa: F401  (perfbench's tests read it from this module)
-from .divergence import _batch_loss, _block_buffers, _sum_x_log_x
+from .divergence import _batch_loss, _block_buffers, _teacher_blocks
 from .kernels import COSINE, KernelSpec, _row_stats, cosine_kernel
 from .student import StudentModel, adam_step, init_adam
 
@@ -77,39 +73,19 @@ class BatchFailure(ValueError):
 def _teacher_row_stats(teacher: np.ndarray, spec: KernelSpec, block: int) -> np.ndarray:
     """Check the teacher for non-finite entries and reduce each row to its kernel statistic.
 
-    Rows are taken ``block`` at a time as C-contiguous arrays, the layout
-    a batch's gathered rows have, so every statistic is bit-identical to
-    the one the batch itself would compute, and no N x D temporary exists.
+    Rows are taken ``block`` at a time as C-contiguous float arrays, as a
+    batch's gathered rows are, so every statistic is bit-identical to the
+    one the batch itself would compute, and no N x D temporary exists.
     A statistic is finite only if its row is, so the entries of a block
     are looked at only when one of its statistics is not finite.
     """
     stats = np.empty(teacher.shape[0])
     for start in range(0, teacher.shape[0], block):
-        rows = np.ascontiguousarray(teacher[start : start + block])
+        rows = np.ascontiguousarray(teacher[start : start + block], dtype=float)
         stats[start : start + block] = _row_stats(rows, spec)
         if not np.all(np.isfinite(stats[start : start + block])) and not np.all(np.isfinite(rows)):
             raise ValueError("teacher features contain non-finite entries")
     return stats
-
-
-def _teacher_blocks(teacher: np.ndarray, stats: np.ndarray, idx: np.ndarray, spec: KernelSpec,
-                    bufs: np.ndarray) -> Iterator[tuple[slice, np.ndarray, float]]:
-    """The teacher blocks ``(cs, p, part)`` of ``divergence._batch_loss`` for the batch ``idx``, from the cached row statistics.
-
-    ``p`` is built in ``bufs[0]`` from the gathered raw rows, with
-    ``bufs[1]`` as scratch.  A cosine block's ``part`` of ``sum p log p``
-    takes its logs in ``bufs[1]``; Gaussian logits are built there, ``p``
-    is their exponentials over the column sums, and ``part`` is one dot
-    product of ``p`` with them, less the log sums.
-    """
-    blocks = _conditionals_of_rows(teacher[idx], stats[idx], spec, bufs[1], bufs[0])
-    if spec.family == COSINE:
-        for cs, _, p, _ in blocks:
-            yield cs, p, _sum_x_log_x(p, cs, bufs[1])
-        return
-    for cs, shifted, e, colsums in blocks:
-        p = np.divide(e, colsums, out=e)
-        yield cs, p, float(np.dot(p.ravel(), shifted.ravel())) - float(np.log(colsums).sum())
 
 
 def train(
@@ -126,8 +102,7 @@ def train(
     from the original.
     """
     cfg = cfg if cfg is not None else TrainConfig()
-    raw_inputs = np.asarray(raw_inputs, dtype=float)
-    teacher_feats = np.asarray(teacher_feats, dtype=float)
+    raw_inputs, teacher_feats = np.asarray(raw_inputs), np.asarray(teacher_feats)
     n = raw_inputs.shape[0]
     if teacher_feats.ndim != 2:
         raise ValueError("teacher features must be an N x D matrix")
@@ -142,7 +117,7 @@ def train(
         if labels.shape[0] != n:
             raise ValueError("label count does not match the inputs")
     for start in range(0, n, cfg.batch_size):
-        if not np.all(np.isfinite(raw_inputs[start : start + cfg.batch_size])):
+        if not np.all(np.isfinite(np.asarray(raw_inputs[start : start + cfg.batch_size], dtype=float))):
             raise ValueError("raw inputs contain non-finite entries")
     teacher_stats = _teacher_row_stats(teacher_feats, cfg.teacher_spec, cfg.batch_size)
 
@@ -157,7 +132,8 @@ def train(
             try:
                 y = model.forward(raw_inputs[idx])
                 sup = (labels[idx], cfg.sup_weight) if cfg.sup_weight > 0 else None
-                blocks = _teacher_blocks(teacher_feats, teacher_stats, idx, cfg.teacher_spec, bufs)
+                blocks = _teacher_blocks(np.asarray(teacher_feats[idx], dtype=float), teacher_stats[idx],
+                                         cfg.teacher_spec, bufs)  # no local: the rows are freed with the blocks
                 report = _batch_loss(y, cfg.student_spec, blocks, sup, bufs)
                 if not (np.isfinite(report.value) and np.all(np.isfinite(report.grad_y))):
                     raise ValueError("the loss or its gradient is not finite")

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import pkt.featio
 from pkt import (
     RetrievalIndex,
     evaluate,
@@ -255,6 +256,34 @@ def test_malformed_arch(workdir, capsys):
                "--out", str(workdir / "m.txt")])
     assert rc == 1
     assert "--arch" in capsys.readouterr().err
+
+
+FILE_FLAGS = {
+    "transfer": ["--input", "raw.txt", "--teacher", "teacher.txt", "--out", "m.txt"],
+    "eval": ["--db", "db.txt", "--db-labels", "l.txt", "--queries", "q.txt", "--query-labels", "l.txt"],
+    "qmi": ["--features", "f.txt", "--labels", "l.txt"],
+}
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("transfer", ["--arch", "8,x"], "--arch must be a comma-separated list of integers, got '8,x'"),
+    ("transfer", ["--arch", ","], "--arch must name at least the output dimension"),
+    ("transfer", ["--arch", "4", "--kernel", "gaussian", "--sigma-t", "1"], "gaussian kernel requires --sigma-s"),
+    ("transfer", ["--arch", "4", "--batch-size", "1"], "batch_size must be at least 2"),
+    ("eval", ["--top-k", "1,y"], "--top-k must be a comma-separated list of integers, got '1,y'"),
+    ("qmi", ["--kernel", "gaussian"], "gaussian kernel requires --sigma"),
+])
+def test_flags_are_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, command, flags, message):
+    # no file exists, and reading one fails the test: the flag error wins
+    def unread(path):
+        raise AssertionError(f"{path} was read before the flags were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pkt.featio, "read_features", unread)
+    monkeypatch.setattr(pkt.featio, "read_labels", unread)
+    assert main([command, *FILE_FLAGS[command], *flags]) == 1
+    assert capsys.readouterr().err == f"pkt: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_reports_skipped_queries_on_stderr(workdir, capsys):

@@ -12,7 +12,12 @@ from pkt import (
     average_precision_11pt,
     evaluate,
 )
-from pkt.retrieval import QUERY_BLOCK, _unit_rows
+from pkt.retrieval import QUERY_BLOCK
+
+
+def _unit_rows(x):
+    """Rows over their norms, guarded at 1e-8 as the cosine kernel guards them."""
+    return x / np.maximum(np.linalg.norm(x, axis=1), 1e-8)[:, None]
 
 
 def rank(index, query):

@@ -136,6 +136,18 @@ def test_model_validation():
         StudentModel([2, 2], weights=[np.zeros((2, 3))], biases=[np.zeros(2)])
 
 
+@pytest.mark.parametrize("n_weights, n_biases", [(2, 2), (2, 1), (1, 2), (0, 0), (0, 1)])
+def test_model_takes_one_weight_and_one_bias_per_layer(tmp_path, n_weights, n_biases):
+    # [2, 3] is one layer: a second 3 x 3 layer would run in forward and be
+    # saved as a file that load_model rejects; a missing one raised IndexError
+    weights, biases = [np.zeros((2, 3)), np.zeros((3, 3))], [np.zeros(3), np.zeros(3)]
+    with pytest.raises(ValueError, match=r"^weight and bias counts must equal len\(layer_dims\) - 1 = 1$"):
+        StudentModel([2, 3], weights[:n_weights], biases[:n_biases])
+    model = StudentModel([2, 3], weights[:1], biases[:1])
+    save_model(model, tmp_path / "m.txt")
+    assert load_model(tmp_path / "m.txt").layer_dims == [2, 3]
+
+
 @pytest.mark.parametrize("dims", [[2, -1], [2, 0], [3], [-2, 4, 1]])
 def test_init_student_checks_layer_dims_before_drawing(dims):
     with pytest.raises(ValueError, match=r"^layer_dims needs at least \[d_in, d_out\], all positive$"):

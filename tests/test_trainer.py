@@ -22,8 +22,8 @@ from pkt import (
     train,
 )
 from pkt.kernels import TILE
-from pkt.divergence import _block_buffers
-from pkt.trainer import _teacher_blocks, _teacher_row_stats
+from pkt.divergence import _block_buffers, _teacher_blocks
+from pkt.trainer import _teacher_row_stats
 
 
 def small_problem(seed=0, n=100, d_in=6, d_t=5):
@@ -163,7 +163,7 @@ def test_cached_teacher_conditionals_match_public_ones(spec, order):
         for idx in sample_batch(n, batch, 0, 0):  # the last batch is shorter, written into a prefix of the buffers
             b = idx.size
             cached, p_log_p = np.full((b, b), np.nan), 0.0
-            for cs, p, part in _teacher_blocks(teacher, stats, idx, spec, bufs):
+            for cs, p, part in _teacher_blocks(teacher[idx], stats[idx], spec, bufs):
                 assert np.shares_memory(p, bufs[0])
                 cached[:, cs] = p
                 p_log_p += part
@@ -288,18 +288,39 @@ def test_gaussian_training_survives_embeddings_thrown_apart():
     assert all(np.all(np.isfinite(p)) for p in model.parameters())
 
 
-def test_training_holds_no_copy_of_the_teacher():
+# Inputs in the dtypes and layouts training reads as they are.  Small
+# integers read the same in each, so each run must give the float64 run's bytes.
+LAYOUTS = {
+    "float64": lambda x: x,
+    "float32": lambda x: x.astype(np.float32),
+    "int": lambda x: x.astype(np.int64),
+    "F-ordered": np.asfortranarray,
+    "strided": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+}
+
+
+@pytest.fixture(scope="module")
+def integer_problem():
     rng = np.random.default_rng(2)
-    raw = rng.normal(size=(2000, 8))
-    teacher = rng.normal(size=(2000, 1024))
-    model = init_student([8, 4], seed=0)
+    raw, teacher = rng.integers(-4, 5, size=(2000, 8)).astype(float), rng.integers(-64, 65, size=(2000, 1024))
+    cfg = TrainConfig(epochs=1, batch_size=64, lr=1e-3)
+    model, trace = train(init_student([8, 4], seed=0), raw, teacher.astype(float), cfg=cfg)
+    return raw, teacher.astype(float), cfg, model, trace
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_training_holds_no_copy_of_the_teacher(integer_problem, layout):
+    raw, teacher, cfg, expected_model, expected_trace = integer_problem
+    raw_in, teacher_in = LAYOUTS[layout](raw), LAYOUTS[layout](teacher)
     tracemalloc.start()
     try:
-        train(model, raw, teacher, cfg=TrainConfig(epochs=1, batch_size=64, lr=1e-3))
+        model, trace = train(init_student([8, 4], seed=0), raw_in, teacher_in, cfg=cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < teacher.nbytes / 4
+    assert [p.tobytes() for p in model.parameters()] == [p.tobytes() for p in expected_model.parameters()]
+    assert [e.loss.hex() for e in trace] == [e.loss.hex() for e in expected_trace]
 
 
 def test_non_finite_loss_or_gradient_stops_the_run_before_the_step(monkeypatch):
