@@ -42,7 +42,7 @@ print("KL(P || Q) =", kl_loss(p, q))
 # cosine kernel's norm terms.
 report = pkt_loss_and_grad(student, p, spec)
 print("\nloss at the random student:", report.value)
-print("gradient shape:", report.grad_y.shape, " ordered pairs:", report.n_pairs)
+print("gradient shape:", report.grad_y.shape)
 
 # Check it against finite differences.
 numeric = finite_difference(

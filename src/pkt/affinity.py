@@ -25,23 +25,12 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .kernels import (COSINE, LOGITS_OVERFLOW, TILE, KernelSpec, _column_blocks, _gram_tile, _kernel_of_gram,
-                      _logits_of_rows, _row_stats)
+from .kernels import (COSINE, LOGITS_OVERFLOW, TILE, KernelSpec, _checked_rows, _column_blocks, _gram_tile,
+                      _kernel_of_gram, _logits_of_rows, _row_stats)
 
 # A cosine conditioning column whose off-diagonal kernel mass falls below
 # this is geometrically degenerate (every partner at affinity ~0).
 DENOM_FLOOR = 1e-12
-
-
-def _checked_features(feats: np.ndarray) -> np.ndarray:
-    feats = np.asarray(feats, dtype=float)
-    if feats.ndim != 2:
-        raise ValueError("expected an N x D feature matrix")
-    if feats.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
-    if not np.all(np.isfinite(feats)):
-        raise ValueError("feature matrix contains non-finite entries")
-    return feats
 
 
 def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec, out: np.ndarray,
@@ -92,7 +81,7 @@ def _conditionals_of_rows(rows: np.ndarray, stats: np.ndarray, spec: KernelSpec,
 
 def conditional_probabilities(feats: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Column-stochastic conditional matrix; each slot sums to 1 over its non-self partners."""
-    rows = _checked_features(feats)
+    rows = _checked_rows(feats, "features", 2, True)
     n = rows.shape[0]
     q = np.empty((n, n))
     out, q_out = np.empty((2, n * min(n, TILE)))

@@ -62,6 +62,8 @@ def cmd_transfer(args) -> int:
         sup_weight=args.sup_weight,
         seed=args.seed,
     )
+    if cfg.sup_weight > 0 and not args.labels:
+        raise CliError("--sup-weight > 0 requires --labels")
     raw = featio.read_features(args.input)
     teacher = featio.read_features(args.teacher)
     labels = featio.read_labels(args.labels) if args.labels else None
@@ -119,7 +121,7 @@ def cmd_qmi(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.n is not None or args.dim is not None:
+    if args.n is not None or args.dim is not None or args.kernel is not None:
         n = args.n if args.n is not None else 8
         dim = args.dim if args.dim is not None else 4
         if n < 2:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import _checked_features, _conditionals_of_rows
-from .kernels import COSINE, NORM_EPS, TILE, KernelSpec, _column_blocks, _prepared_rows
+from .affinity import _conditionals_of_rows
+from .kernels import COSINE, NORM_EPS, TILE, KernelSpec, _checked_labels, _checked_rows, _column_blocks, _prepared_rows
 
 # Floor applied to cosine student conditionals and to kl_loss's q inside
 # the log; far below any conditional reachable with cosine kernels at
@@ -45,7 +45,6 @@ Q_FLOOR = 1e-7
 class LossReport:
     value: float
     grad_y: np.ndarray
-    n_pairs: int
 
 
 def kl_loss(p_teacher: np.ndarray, q_student: np.ndarray) -> float:
@@ -163,7 +162,7 @@ def pkt_loss_and_grad(
     same-class partners; the rows are taken in the stable label order.
     ``grad_y`` is always a new array, in the caller's row order.
     """
-    y = np.asarray(y, dtype=float)
+    y = _checked_rows(y, "student embeddings", 2, True)
     p = np.asarray(p_teacher, dtype=float)
     n = y.shape[0]
     if p.shape != (n, n):
@@ -172,9 +171,7 @@ def pkt_loss_and_grad(
         labels, weight = sup
         if not np.isfinite(weight) or weight < 0:
             raise ValueError("supervised weight must be nonnegative and finite")
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ValueError(f"supervised labels of shape {labels.shape} are not one label per student row")
+        labels = _checked_labels(labels, n, "supervised labels")
         order = np.argsort(labels, kind="stable")
         labels = labels[order]
         sup = (labels, weight) if weight > 0 and np.any(labels[1:] == labels[:-1]) else None  # else the term is 0
@@ -190,7 +187,7 @@ def pkt_loss_and_grad(
 
 def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[slice, np.ndarray, float]],
                 sup: tuple[np.ndarray, float] | None, bufs: np.ndarray) -> LossReport:
-    """The loss and gradient of :func:`pkt_loss_and_grad` for a student ``y``, one block of conditioning columns at a time.
+    """The loss and gradient of :func:`pkt_loss_and_grad` for a student ``y`` that passed :func:`_checked_rows`, one block of conditioning columns at a time.
 
     ``teacher_blocks`` yields ``(cs, p, part)`` for each of the
     :func:`_column_blocks` ``cs`` in order: the N x c teacher
@@ -199,7 +196,6 @@ def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[
     :func:`_block_buffers`; ``sup`` is None or has a positive weight and
     labels sorted by class.
     """
-    y = _checked_features(y)
     rows, stats = _prepared_rows(y, spec)  # the cosine gradient takes unit rows
     student = _conditionals_of_rows(y, stats, spec, bufs[2], bufs[3])
     n = rows.shape[0]
@@ -225,7 +221,7 @@ def _batch_loss(y: np.ndarray, spec: KernelSpec, teacher_blocks: Iterable[tuple[
         grad = (ay + aty - coupling[:, None] * rows) / (2.0 * stats[:, None])
     else:
         grad = (2.0 / spec.width) * (ay + aty - coupling[:, None] * rows)
-    return LossReport(value=value, grad_y=grad, n_pairs=n * (n - 1))
+    return LossReport(value=value, grad_y=grad)
 
 
 def _gaussian_block(p_eff, cs, shifted, e, colsums, _) -> tuple[float, np.ndarray, np.ndarray, float]:

@@ -77,7 +77,7 @@ def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     computed in place and copied, transposed, into its mirror, and each
     diagonal tile's Gram product ``a @ a.T`` is itself exactly symmetric.
     """
-    rows, stats = _prepared_rows(x, spec)
+    rows, stats = _prepared_rows(_checked_rows(x, "features", 0, False), spec)
     n = rows.shape[0]
     out = np.empty((n, n))
     gram = np.empty(min(n, TILE) ** 2)
@@ -88,14 +88,33 @@ def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return out
 
 
+def _checked_rows(x, what: str, min_rows: int, finite: bool) -> np.ndarray:
+    """A public function's feature argument ``what`` as a float N x D matrix of at least ``min_rows`` rows.
+
+    If ``finite``, a NaN or infinite entry is rejected too.  Every
+    rejection is a ValueError that names ``what`` and the shape.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] < min_rows:
+        raise ValueError(f"{what} of shape {x.shape} are not an N x D matrix with N >= {min_rows}")
+    if finite and not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} of shape {x.shape} contain non-finite entries")
+    return x
+
+
+def _checked_labels(labels, n: int, what: str) -> np.ndarray:
+    """A public function's label argument ``what`` as an array of one label per row of n; else a ValueError naming it and its shape."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"{what} of shape {labels.shape} are not one label per row of {n}")
+    return labels
+
+
 def _prepared_rows(x: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` as a float N x D matrix ready for the kernel cores, and its :func:`_row_stats`.
+    """The float N x D matrix ``x`` ready for the kernel cores, and its :func:`_row_stats`.
 
     Cosine rows come back divided by their guarded norms.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected an N x D matrix")
     stats = _row_stats(x, spec)
     if spec.family == COSINE:
         x = x / stats[:, None]

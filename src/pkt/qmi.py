@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (COSINE, LOGITS_OVERFLOW, KernelSpec, _augmented_rows, _gram_tile, _kernel_of_gram, _logits_tile,
-                      _prepared_rows, _upper_tiles)
+from .kernels import (COSINE, LOGITS_OVERFLOW, KernelSpec, _augmented_rows, _checked_labels, _checked_rows, _gram_tile,
+                      _kernel_of_gram, _logits_tile, _prepared_rows, _upper_tiles)
 
 # Rows and columns of the tiles in which the kernel sums walk the upper triangle.
 BLOCK = 256
@@ -58,14 +58,10 @@ def information_potentials(feats: np.ndarray, labels, spec: KernelSpec) -> Poten
         v_all = (1/N^2) (sum_p (J_p/N)^2) sum_{k,l} K(x_k, x_l)
         v_btw = (1/N^2) sum_p (J_p/N) sum_{j in p} sum_k K(x_j, x_k)
     """
-    feats = np.asarray(feats, dtype=float)
-    labels = np.asarray(labels)
-    if feats.ndim != 2 or feats.shape[0] < 2:
-        raise ValueError("expected an N x D feature matrix with N >= 2")
-    if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
-        raise ValueError("label list length does not match the feature matrix")
-
+    feats = _checked_rows(feats, "features", 2, False)
     n = feats.shape[0]
+    labels = _checked_labels(labels, n, "labels")
+
     _, classes = np.unique(labels, return_inverse=True)
     sizes = np.bincount(classes)
     in_class, class_rows = _class_sums(feats, classes, sizes, spec)
@@ -149,12 +145,10 @@ def potential_equality_check(
     (:func:`_cosine_differences`), other pairs both kernels' values.  A
     NaN or infinite feature makes the deviation NaN.
     """
-    teacher = np.asarray(teacher, dtype=float)
-    student = np.asarray(student, dtype=float)
-    if teacher.ndim != 2 or student.ndim != 2 or teacher.shape[0] != student.shape[0]:
-        raise ValueError("teacher and student must be N x D matrices embedding the same samples")
-    if teacher.shape[0] == 0:
-        raise ValueError("no samples to compare")
+    teacher = _checked_rows(teacher, "teacher features", 1, False)
+    student = _checked_rows(student, "student features", 1, False)
+    if teacher.shape[0] != student.shape[0]:
+        raise ValueError(f"teacher features of shape {teacher.shape} do not embed the {student.shape[0]} student samples")
     if not tol >= 0:  # NaN included
         raise ValueError("tol must be non-negative")
     if spec_t.family == spec_s.family == COSINE:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _prepared_rows, cosine_kernel
+from .kernels import _checked_labels, _checked_rows, _prepared_rows, cosine_kernel
 
 # Queries ranked per matrix product: each holds QUERY_BLOCK x N entries.
 QUERY_BLOCK = 64
@@ -35,16 +35,8 @@ class RetrievalIndex:
     db_labels: np.ndarray
 
     def __post_init__(self):
-        self.db_feats = np.asarray(self.db_feats, dtype=float)
-        self.db_labels = np.asarray(self.db_labels)
-        if self.db_feats.ndim != 2:
-            raise ValueError("database features must be an N x D matrix")
-        if self.db_labels.ndim != 1:
-            raise ValueError("database labels must be a 1-D array")
-        if self.db_labels.shape[0] != self.db_feats.shape[0]:
-            raise ValueError("database label count does not match the features")
-        if not np.all(np.isfinite(self.db_feats)):
-            raise ValueError("database features contain non-finite entries")
+        self.db_feats = _checked_rows(self.db_feats, "database features", 0, True)
+        self.db_labels = _checked_labels(self.db_labels, self.db_feats.shape[0], "database labels")
 
 
 @dataclass
@@ -139,17 +131,11 @@ def evaluate(
 
     ``top_k`` holds each distinct k of ``ks`` once, in first-seen order.
     """
-    queries = np.asarray(queries, dtype=float)
-    query_labels = np.asarray(query_labels)
+    queries = _checked_rows(queries, "query features", 1, True)
+    query_labels = _checked_labels(query_labels, queries.shape[0], "query labels")
     ks = list(ks) if ks else []
-    if queries.ndim != 2 or queries.shape[0] == 0:
-        raise ValueError("query set is empty")
-    if query_labels.ndim != 1 or query_labels.shape[0] != queries.shape[0]:
-        raise ValueError("query labels must be a 1-D array with one label per query")
     if queries.shape[1] != index.db_feats.shape[1]:
         raise ValueError(f"query dim {queries.shape[1]} does not match database dim {index.db_feats.shape[1]}")
-    if not np.all(np.isfinite(queries)):
-        raise ValueError("query features contain non-finite entries")
     for k in ks:
         if not isinstance(k, (int, np.integer)) or type(k) is bool or k < 1 or k > index.db_feats.shape[0]:
             raise ValueError(f"top-k value {k!r} is not an integer in 1..{index.db_feats.shape[0]}")

@@ -27,7 +27,7 @@ import numpy as np
 from .affinity import sample_batch
 from .affinity import conditional_probabilities  # noqa: F401  (perfbench's tests read it from this module)
 from .divergence import _batch_loss, _block_buffers, _teacher_blocks
-from .kernels import COSINE, KernelSpec, _row_stats, cosine_kernel
+from .kernels import COSINE, KernelSpec, _checked_labels, _checked_rows, _row_stats, cosine_kernel
 from .student import StudentModel, adam_step, init_adam
 
 
@@ -103,19 +103,15 @@ def train(
     """
     cfg = cfg if cfg is not None else TrainConfig()
     raw_inputs, teacher_feats = np.asarray(raw_inputs), np.asarray(teacher_feats)
+    if raw_inputs.ndim != 2 or raw_inputs.shape[0] < 2 or raw_inputs.shape[1] != model.input_dim:
+        raise ValueError(f"raw inputs of shape {raw_inputs.shape} are not an N x {model.input_dim} matrix with N >= 2")
     n = raw_inputs.shape[0]
-    if teacher_feats.ndim != 2:
-        raise ValueError("teacher features must be an N x D matrix")
-    if teacher_feats.shape[0] != n:
-        raise ValueError("raw inputs and teacher features must have equal row counts")
+    if teacher_feats.ndim != 2 or teacher_feats.shape[0] != n:
+        raise ValueError(f"teacher features of shape {teacher_feats.shape} are not an N x D matrix of {n} rows")
     if cfg.sup_weight > 0:
         if labels is None:
             raise ValueError("sup_weight > 0 requires labels")
-        labels = np.asarray(labels)
-        if labels.ndim != 1:
-            raise ValueError(f"supervised labels of shape {labels.shape} are not one label per student row")
-        if labels.shape[0] != n:
-            raise ValueError("label count does not match the inputs")
+        labels = _checked_labels(labels, n, "labels")
     for start in range(0, n, cfg.batch_size):
         if not np.all(np.isfinite(np.asarray(raw_inputs[start : start + cfg.batch_size], dtype=float))):
             raise ValueError("raw inputs contain non-finite entries")
@@ -130,7 +126,7 @@ def train(
             chunks = [idx[np.argsort(labels[idx], kind="stable")] for idx in chunks]
         for b, idx in enumerate(chunks):
             try:
-                y = model.forward(raw_inputs[idx])
+                y = _checked_rows(model.forward(raw_inputs[idx]), "student embeddings", 2, True)
                 sup = (labels[idx], cfg.sup_weight) if cfg.sup_weight > 0 else None
                 blocks = _teacher_blocks(np.asarray(teacher_feats[idx], dtype=float), teacher_stats[idx],
                                          cfg.teacher_spec, bufs)  # no local: the rows are freed with the blocks

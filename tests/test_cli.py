@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import pkt.cli
 import pkt.featio
 from pkt import (
     RetrievalIndex,
@@ -147,6 +148,23 @@ def test_gradcheck_single_instance(capsys):
     assert float(capsys.readouterr().out.split()[-1]) < 1e-4
 
 
+@pytest.mark.parametrize("kernel", ["cosine", "gaussian"])
+def test_gradcheck_kernel_alone_checks_one_default_instance_of_that_kernel(monkeypatch, capsys, kernel):
+    def no_battery(seed):
+        raise AssertionError("--kernel alone ran the battery")
+
+    def one_instance(n, dim, spec, rng):
+        checked.append((n, dim, spec.family))
+        return 0.0
+
+    checked = []
+    monkeypatch.setattr(pkt.cli, "run_battery", no_battery)
+    monkeypatch.setattr(pkt.cli, "check_instance", one_instance)
+    assert main(["gradcheck", "--kernel", kernel]) == 0
+    assert checked == [(8, 4, kernel)]
+    assert capsys.readouterr().out == "max relative error 0\n"
+
+
 @pytest.mark.parametrize("argv, message", [(["--n", "1"], "--n must be at least 2, got 1"),
                                            (["--dim", "0"], "--dim must be at least 1, got 0"),
                                            (["--n", "5", "--dim", "-2"], "--dim must be at least 1, got -2")])
@@ -270,6 +288,7 @@ FILE_FLAGS = {
     ("transfer", ["--arch", ","], "--arch must name at least the output dimension"),
     ("transfer", ["--arch", "4", "--kernel", "gaussian", "--sigma-t", "1"], "gaussian kernel requires --sigma-s"),
     ("transfer", ["--arch", "4", "--batch-size", "1"], "batch_size must be at least 2"),
+    ("transfer", ["--arch", "4", "--sup-weight", "0.5"], "--sup-weight > 0 requires --labels"),
     ("eval", ["--top-k", "1,y"], "--top-k must be a comma-separated list of integers, got '1,y'"),
     ("qmi", ["--kernel", "gaussian"], "gaussian kernel requires --sigma"),
 ])
@@ -325,7 +344,7 @@ def test_failing_transfer_keeps_finished_batches_and_writes_no_model(tmp_path, c
                    "--kernel", "gaussian", "--sigma-t", "1", "--sigma-s", "1",
                    "--out", str(tmp_path / "model.txt"), "--loss-log", str(tmp_path / "loss.txt")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("pkt: epoch 0 batch 1: feature matrix contains non-finite entries")
+    assert capsys.readouterr().err.startswith("pkt: epoch 0 batch 1: student embeddings of shape (64, 4) contain non-finite entries")
     assert not (tmp_path / "model.txt").exists()
     lines = (tmp_path / "loss.txt").read_text().splitlines()
     assert [line.split()[:2] for line in lines] == [["0", "0"]]

@@ -82,7 +82,6 @@ def test_grad_zero_at_optimum():
     report = pkt_loss_and_grad(y, p, cosine_kernel())
     assert abs(report.value) <= 1e-9
     assert np.max(np.abs(report.grad_y)) <= 1e-7
-    assert report.n_pairs == 8 * 7
 
 
 @pytest.mark.parametrize("spec", [cosine_kernel(), gaussian_kernel(2.0), gaussian_kernel(0.7),
@@ -149,7 +148,7 @@ def test_grad_input_validation():
                           sup=(np.zeros(5), -0.5))
 
 
-    with pytest.raises(ValueError, match="one label per student row"):
+    with pytest.raises(ValueError, match=r"^supervised labels of shape \(5, 5\) are not one label per row of 5$"):
         pkt_loss_and_grad(y, random_conditionals(rng, 5), cosine_kernel(),
                           sup=(supervised_targets_oracle([0, 0, 1, 1, 2]), 0.1))
 

@@ -196,10 +196,10 @@ def test_evaluate_rejects_non_finite_features(bad):
 
 def test_evaluate_rejects_labels_that_are_not_1d_and_a_k_that_is_not_an_integer():
     db, labels = np.eye(3), np.array([0, 1, 0])
-    with pytest.raises(ValueError, match="database labels must be a 1-D array"):
+    with pytest.raises(ValueError, match=r"^database labels of shape \(3, 1\) are not one label per row of 3$"):
         RetrievalIndex(db, labels[:, None])
     index = RetrievalIndex(db, labels)
-    with pytest.raises(ValueError, match="query labels must be a 1-D array"):
+    with pytest.raises(ValueError, match=r"^query labels of shape \(3, 1\) are not one label per row of 3$"):
         evaluate(index, np.eye(3), labels[:, None])
     for k in (2.5, 2.0, "2"):
         with pytest.raises(ValueError, match="top-k value"):

@@ -238,7 +238,7 @@ def test_labels_that_are_not_one_dimensional_are_rejected_before_any_step():
     raw, teacher, labels = small_problem(n=40)
     model = init_student([6, 4], seed=0)
     before = [p.copy() for p in model.parameters()]
-    with pytest.raises(ValueError, match=r"^supervised labels of shape \(40, 1\) are not one label per student row$"):
+    with pytest.raises(ValueError, match=r"^labels of shape \(40, 1\) are not one label per row of 40$"):
         train(model, raw, teacher, labels[:, None], TrainConfig(batch_size=8, sup_weight=0.5))
     assert all(np.array_equal(p, b) for p, b in zip(model.parameters(), before))
 
@@ -268,7 +268,7 @@ def test_failing_batch_names_epoch_and_batch():
     cfg = TrainConfig(epochs=3, batch_size=64, lr=1e300, seed=0,
                       teacher_spec=gaussian_kernel(1.0), student_spec=gaussian_kernel(1.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"^epoch 0 batch 1: feature matrix contains non-finite entries$") as info:
+        with pytest.raises(ValueError, match=r"^epoch 0 batch 1: student embeddings of shape \(64, 4\) contain non-finite entries$") as info:
             train(init_student([8, 16, 4], seed=0), raw, teacher, cfg=cfg)
     assert isinstance(info.value.__cause__, ValueError)
     assert "epoch" not in str(info.value.__cause__)
